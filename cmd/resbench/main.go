@@ -46,12 +46,9 @@
 // turns the largest fleet's efficiency into a hard guard.
 //
 // coldstartbench publishes one CPU+I/O snapshot and times restoring it
-// three ways — heap (JSON decode + recompile), mmap (zero-copy over the
-// exact slab) and quantized (the slab's float32 section) — writing
-// restore latency, per-replica private model memory and post-restore
-// batch throughput to -coldstart-out (default BENCH_coldstart.json).
-// -coldstart-speedup-min turns the mmap-vs-heap restore ratio into a
-// hard guard.
+// zero-copy over the mmap'd slabs, writing restore latency, per-replica
+// private model memory, post-restore batch throughput and slab size to
+// -coldstart-out (default BENCH_coldstart.json).
 package main
 
 import (
@@ -91,9 +88,8 @@ func main() {
 		strMin   = flag.Float64("stream-speedup-min", 0, "fail when the highest-concurrency streaming speedup vs HTTP falls below this (<= 0 disables the guard)")
 		coldN    = flag.Int("coldstart-n", 96, "coldstartbench workload size (queries)")
 		coldIt   = flag.Int("coldstart-iters", 100, "coldstartbench model MART iterations")
-		coldRnd  = flag.Int("coldstart-rounds", 7, "coldstartbench restore rounds per mode (median taken)")
+		coldRnd  = flag.Int("coldstart-rounds", 7, "coldstartbench restore rounds (median taken)")
 		coldOut  = flag.String("coldstart-out", "BENCH_coldstart.json", "coldstartbench baseline output path (empty = stdout only)")
-		coldMin  = flag.Float64("coldstart-speedup-min", 0, "fail when the mmap restore speedup vs heap decode falls below this (<= 0 disables the guard)")
 		cluN     = flag.Int("cluster-n", 64, "clusterbench workload size (queries)")
 		cluIt    = flag.Int("cluster-iters", 60, "clusterbench benchmark-model MART iterations")
 		cluSch   = flag.Int("cluster-schemas", 4, "clusterbench schemas owned per replica")
@@ -368,20 +364,15 @@ func main() {
 		}
 	}
 	if sel("coldstartbench") {
-		fmt.Fprintln(os.Stderr, "running coldstartbench (heap vs mmap vs quantized restore)...")
+		fmt.Fprintln(os.Stderr, "running coldstartbench (mmap restore)...")
 		cb, err := experiments.RunColdStartBench(*coldN, *coldIt, *coldRnd)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("Cold start (%d plans, %d operators, %d iterations; snapshot %s JSON / %s slab):\n",
-			cb.Queries, cb.Operators, cb.Iterations,
-			fmtKB(cb.ModelFileBytes), fmtKB(cb.SlabFileBytes))
-		for _, m := range cb.Modes {
-			fmt.Printf("  %-10s restore %8.3f ms  private %8s  %9.0f plans/s  (%s)\n",
-				m.Mode, m.RestoreMillis, fmtKB(m.PrivateModelBytes),
-				m.BatchPlansPerSec, strings.Join(m.Layouts, ","))
-		}
-		fmt.Printf("  mmap restore speedup vs heap: %.1fx\n", cb.MmapSpeedup)
+		fmt.Printf("Cold start (%d plans, %d operators, %d iterations; snapshot %s slab):\n",
+			cb.Queries, cb.Operators, cb.Iterations, fmtKB(cb.SlabFileBytes))
+		fmt.Printf("  mmap restore %8.3f ms  private %8s  %9.0f plans/s\n",
+			cb.RestoreMillis, fmtKB(cb.PrivateModelBytes), cb.BatchPlansPerSec)
 		if *coldOut != "" {
 			data, err := json.MarshalIndent(cb, "", "  ")
 			if err != nil {
@@ -391,10 +382,6 @@ func main() {
 				fatal(err)
 			}
 			fmt.Fprintf(os.Stderr, "wrote cold-start baseline to %s\n", *coldOut)
-		}
-		if *coldMin > 0 && cb.MmapSpeedup < *coldMin {
-			fatal(fmt.Errorf("mmap restore speedup %.1fx below the %.1fx guard",
-				cb.MmapSpeedup, *coldMin))
 		}
 	}
 }

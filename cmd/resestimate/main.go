@@ -19,10 +19,10 @@
 //
 // Usage:
 //
-//	resestimate -model cpu-model.json -schema tpch -n 20
-//	resestimate -model cpu-model.json -schema tpcds -n 20 -pipelines
-//	resestimate -model cpu-model.json -schema tpch -n 3 -explain
-//	resestimate -model cpu-model.json -n 5000 -batch=false
+//	resestimate -model cpu-model.slab -schema tpch -n 20
+//	resestimate -model cpu-model.slab -schema tpcds -n 20 -pipelines
+//	resestimate -model cpu-model.slab -schema tpch -n 3 -explain
+//	resestimate -model cpu-model.slab -n 5000 -batch=false
 //	resestimate -store ./models-store -schema tpch -n 20   # all resources
 package main
 
@@ -53,7 +53,7 @@ func main() {
 		fatal(fmt.Errorf("-model and -store are mutually exclusive"))
 	}
 	if *storeDir == "" && *modelPath == "" {
-		*modelPath = "model.json"
+		*modelPath = "model.slab"
 	}
 
 	qs, err := repro.GenerateWorkload(repro.WorkloadOptions{Schema: *schema, N: *n, Seed: *seed})

@@ -8,8 +8,8 @@
 // without model files):
 //
 //	resserve -bootstrap tpch                  # train & serve tpch cpu+io
-//	resserve -model tpch=cpu-model.json       # serve a trained model
-//	resserve -model cpu.json -model io.json   # wildcard-schema models
+//	resserve -model tpch=cpu-model.slab       # serve a trained model
+//	resserve -model cpu.slab -model io.slab   # wildcard-schema models
 //	resserve -bootstrap tpch -model-dir ./models   # allow runtime swaps
 //
 // Bootstrap training and feedback retrains run on the deterministic
@@ -20,7 +20,7 @@
 // With -store-dir the versioned model store is enabled and becomes the
 // single durable source of truth: every publish — bootstrap training, a
 // POST /models upload, a feedback retrain — persists an atomic snapshot
-// (model files + checksummed manifest) in that directory, the server
+// (model slabs + checksummed manifest) in that directory, the server
 // restores the latest intact snapshots at startup (so a restart resumes
 // serving exactly what it last persisted, and -bootstrap is skipped for
 // restored schemas), and POST /models/rollback walks snapshot history —
@@ -147,7 +147,6 @@ func main() {
 		modelDir    = flag.String("model-dir", "", "directory POST /models may load model files from (empty disables the endpoint)")
 		storeDir    = flag.String("store-dir", "", "versioned model-store directory; every publish persists an atomic snapshot there, startup restores the latest ones, and rollback walks snapshot history")
 		storeRetain = flag.Int("store-retain", 16, "snapshots retained per schema in the model store (negative disables pruning)")
-		slabQuant   = flag.Bool("slab-quantized", false, "restore models from the float32-quantized slab layout when the publish-time accuracy gate admitted one (default: exact float64 slabs, bit-identical to JSON decode)")
 		feedbackDir = flag.String("feedback-dir", "", "observation-log directory; enables the online feedback loop (POST /observe, drift-triggered retraining)")
 		trainWork   = flag.Int("train-workers", 0, "training worker pool size for -bootstrap and feedback retrains (0 = GOMAXPROCS); trained models are bit-identical at any worker count")
 		driftThresh = flag.Float64("drift-threshold", 2, "retrain when the recent P90 relative error exceeds this multiple of the model's training-time baseline")
@@ -223,13 +222,8 @@ func main() {
 	restored := newRestoreTracker()
 	var stopStoreSync func()
 	if *storeDir != "" {
-		slabMode := repro.SlabExact
-		if *slabQuant {
-			slabMode = repro.SlabQuantized
-		}
 		st, err := repro.OpenModelStore(*storeDir, repro.ModelStoreOptions{
 			Retain: *storeRetain,
-			Slab:   slabMode,
 			Logf: func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, "resserve: "+format+"\n", args...)
 			},

@@ -49,10 +49,10 @@ func TestPartialRestoreHealsUnderSlabPath(t *testing.T) {
 	}
 	// The snapshot must actually carry a slab, or this test would pass
 	// without exercising the slab restore path at all.
-	if len(man.Models) != 1 || man.Models[0].SlabFile == "" {
+	if len(man.Models) != 1 || filepath.Ext(man.Models[0].File) != ".slab" {
 		t.Fatalf("snapshot has no slab to restore through: %+v", man.Models)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "v0000000001", man.Models[0].SlabFile)); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, "v0000000001", man.Models[0].File)); err != nil {
 		t.Fatal(err)
 	}
 

@@ -3,9 +3,9 @@
 //
 // Usage:
 //
-//	restrain -out cpu-model.json                     # CPU estimator
-//	restrain -resource io -out io-model.json          # logical-I/O estimator
-//	restrain -schema tpch -n 1024 -iters 500 -out m.json
+//	restrain -out cpu-model.slab                     # CPU estimator
+//	restrain -resource io -out io-model.slab          # logical-I/O estimator
+//	restrain -schema tpch -n 1024 -iters 500 -out m.slab
 package main
 
 import (
@@ -25,7 +25,7 @@ func main() {
 		resource = flag.String("resource", "cpu", "resource to model: cpu or io")
 		iters    = flag.Int("iters", 300, "MART boosting iterations")
 		estFeat  = flag.Bool("estimated-features", false, "train on optimizer-estimated features")
-		out      = flag.String("out", "model.json", "output model path")
+		out      = flag.String("out", "model.slab", "output model path")
 		workers  = flag.Int("train-workers", 0, "training worker pool size (0 = GOMAXPROCS); the trained model is bit-identical at any worker count")
 	)
 	flag.Parse()

@@ -50,11 +50,11 @@ func main() {
 	}
 	fmt.Printf("\n%d/%d estimates within 2x of the actual CPU time\n", within2x, len(test))
 
-	// 5. Persist the model set (a few hundred KB; §7.3 of the paper).
-	if err := estimator.SaveFile("cpu-model.json"); err != nil {
+	// 5. Persist the model set as its compiled slab (a few megabytes).
+	if err := estimator.SaveFile("cpu-model.slab"); err != nil {
 		log.Fatal(err)
 	}
-	reloaded, err := repro.LoadFile("cpu-model.json")
+	reloaded, err := repro.LoadFile("cpu-model.slab")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -101,17 +101,13 @@ func (m *CombinedModel) predictBatch(vecs []features.Vector, idxs []int, out []f
 		rows[j] = row
 	}
 	us := make([]float64, len(idxs))
-	if m.qcompiled != nil {
-		m.qcompiled.PredictBatch(rows, us)
-	} else {
-		c := m.compiled
-		if c == nil {
-			// Hand-assembled model (tests, external construction): compile
-			// on the fly. Train/load always pre-compile.
-			c = mart.Compile(m.Mart)
-		}
-		c.PredictBatch(rows, us)
+	c := m.compiled
+	if c == nil {
+		// Hand-assembled model (tests, external construction): compile
+		// on the fly. Train/load always pre-compile.
+		c = mart.Compile(m.Mart)
 	}
+	c.PredictBatch(rows, us)
 	for j, i := range idxs {
 		u := us[j]
 		if u < m.YLow {

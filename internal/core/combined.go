@@ -57,24 +57,27 @@ type CombinedModel struct {
 	// operator's default model.
 	TrainErr float64
 	// compiled is the flattened serving layout of Mart, built once at
-	// train/load time and used by every prediction path. It is
+	// train time (or decoded from the slab at load, where Mart itself
+	// is never materialized) and used by every prediction path. It is
 	// bit-identical to the pointer walk (see mart.Compile); nil only on
 	// hand-assembled models, for which prediction falls back to Mart
 	// (and the batch path compiles on the fly).
 	compiled *mart.Compiled
-	// qcompiled, when non-nil, is the float32-quantized serving layout
-	// and takes over every prediction path. Only slab restore with the
-	// quantized option sets it (see slab.go); the accuracy gate at
-	// encode time bounds its divergence from compiled.
-	qcompiled *mart.CompiledQ
-	// martBlob is the model's compact binary encoding (§7.3), retained
-	// by slab restore where Mart itself is never materialized so Save
-	// can still re-emit byte-identical model files.
-	martBlob []byte
 	// scaleFeats lists the ScaleLow/ScaleHigh keys in ascending feature
 	// order. The penalty sum below iterates this slice instead of the
 	// map so selection scores do not depend on map iteration order.
 	scaleFeats []features.ID
+}
+
+// sortedScaleFeatures lists c's scaled-by features in ascending order.
+func sortedScaleFeatures(c *CombinedModel) []features.ID {
+	var out []features.ID
+	for f := features.ID(0); f < features.NumFeatures; f++ {
+		if _, ok := c.ScaleLow[f]; ok {
+			out = append(out, f)
+		}
+	}
+	return out
 }
 
 // scaledBySet returns the set of features this model scales by.
@@ -238,14 +241,11 @@ func TrainCombined(op plan.OpKind, resource plan.ResourceKind, scales []ScaleFn,
 }
 
 // rawPredict evaluates the underlying ensemble on a transformed input
-// row, routing to the quantized layout when restored with it, the
-// compiled slab otherwise, and the pointer walk only for hand-assembled
-// models that were never compiled. The compiled walk is bit-identical
-// to the pointer walk, so which of the two serves is unobservable.
+// row through the compiled slab, and the pointer walk only for
+// hand-assembled models that were never compiled. The compiled walk is
+// bit-identical to the pointer walk, so which of the two serves is
+// unobservable.
 func (m *CombinedModel) rawPredict(x []float64) float64 {
-	if m.qcompiled != nil {
-		return m.qcompiled.Predict(x)
-	}
 	if m.compiled != nil {
 		return m.compiled.Predict(x)
 	}
@@ -279,10 +279,6 @@ func (m *CombinedModel) PredictVector(v *features.Vector) float64 {
 // bit-identical to the pointer walk Predict uses, so the last margin
 // is exactly the raw ensemble output behind PredictVector.
 func (m *CombinedModel) ExplainMargins(v *features.Vector, dst []float64) []float64 {
-	if m.qcompiled != nil {
-		dst, _ = m.qcompiled.PredictMargins(m.transform(v), dst)
-		return dst
-	}
 	c := m.compiled
 	if c == nil {
 		c = mart.Compile(m.Mart)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -49,10 +50,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	for _, p := range test {
 		a := est.PredictPlan(p)
 		b := loaded.PredictPlan(p)
-		// The paper's compact encoding stores thresholds as 4-byte
-		// floats (§7.3); quantization can reroute borderline tree paths,
-		// so allow a few percent of drift at the plan level.
-		if math.Abs(a-b) > 0.05*(math.Abs(a)+1) {
+		if math.Float64bits(a) != math.Float64bits(b) {
 			t.Fatalf("round-trip prediction drift: %v vs %v", a, b)
 		}
 	}
@@ -85,15 +83,18 @@ func TestSaveLoadPreservesSelection(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsGarbage: anything but a slab fails to load — including
+// the JSON model files earlier builds wrote, which must be rejected
+// rather than decoded wrongly.
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := LoadEstimator(strings.NewReader("not json")); err == nil {
-		t.Fatal("garbage accepted")
+	if _, err := LoadEstimator(strings.NewReader("not a model")); !errors.Is(err, ErrSlab) {
+		t.Fatalf("garbage: %v, want ErrSlab", err)
 	}
-	if _, err := LoadEstimator(strings.NewReader(`{"version": 99}`)); err == nil {
-		t.Fatal("future version accepted")
+	if _, err := LoadEstimator(strings.NewReader("")); !errors.Is(err, ErrSlab) {
+		t.Fatalf("empty input: %v, want ErrSlab", err)
 	}
-	if _, err := LoadEstimator(strings.NewReader(`{"version":1,"ops":[{"op":0,"default":5,"candidates":[]}]}`)); err == nil {
-		t.Fatal("bad default index accepted")
+	if _, err := LoadEstimator(strings.NewReader(`{"version":1,"resource":0,"mode":0,"ops":[{"op":0,"default":0,"candidates":[]}]}`)); !errors.Is(err, ErrSlab) {
+		t.Fatalf("JSON model file: %v, want ErrSlab", err)
 	}
 }
 
@@ -103,8 +104,9 @@ func TestSavedSizeReasonable(t *testing.T) {
 	if err := est.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	// §7.3: the model set fits in a few megabytes. Base64 and JSON
-	// overhead stay within that budget at test-sized training.
+	// §7.3: the model set fits in a few megabytes; the slab's
+	// metadata and node layout stay within that budget at test-sized
+	// training.
 	if buf.Len() > 8<<20 {
 		t.Fatalf("saved estimator is %d bytes", buf.Len())
 	}

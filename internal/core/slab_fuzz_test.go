@@ -13,7 +13,7 @@ import (
 )
 
 // fuzzSlab builds the valid slab the fuzz seeds mutate: a tiny but
-// real estimator (every section populated, quantized included).
+// real estimator (every section populated).
 var fuzzSlabOnce sync.Once
 var fuzzSlabBytes []byte
 
@@ -26,7 +26,7 @@ func fuzzSlabSeed() []byte {
 		if err != nil {
 			panic(err)
 		}
-		data, _, err := est.EncodeSlab()
+		data, err := est.EncodeSlab()
 		if err != nil {
 			panic(err)
 		}
@@ -69,25 +69,23 @@ func FuzzSlabDecode(f *testing.F) {
 	f.Add([]byte("RESL"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, quant := range []bool{false, true} {
-			est, _, err := LoadEstimatorSlab(data, quant)
-			if err != nil {
-				continue
-			}
-			var zero, filled features.Vector
-			for i := range filled {
-				filled[i] = float64(i%7) * 3.25
-			}
-			var kinds []plan.OpKind
-			var vecs []features.Vector
-			for kind := range est.Ops {
-				est.PredictVector(kind, &zero)
-				est.PredictVector(kind, &filled)
-				kinds = append(kinds, kind, kind)
-				vecs = append(vecs, zero, filled)
-			}
-			est.PredictBatch(kinds, vecs, nil)
+		est, err := LoadEstimatorSlab(data)
+		if err != nil {
+			return
 		}
+		var zero, filled features.Vector
+		for i := range filled {
+			filled[i] = float64(i%7) * 3.25
+		}
+		var kinds []plan.OpKind
+		var vecs []features.Vector
+		for kind := range est.Ops {
+			est.PredictVector(kind, &zero)
+			est.PredictVector(kind, &filled)
+			kinds = append(kinds, kind, kind)
+			vecs = append(vecs, zero, filled)
+		}
+		est.PredictBatch(kinds, vecs, nil)
 	})
 }
 

@@ -58,16 +58,13 @@ func slabCases(est *Estimator, test []*plan.Plan) ([]plan.OpKind, []features.Vec
 // through the single-vector, batch and whole-plan surfaces.
 func TestEstimatorSlabBitIdentical(t *testing.T) {
 	est, test := slabSetup(t)
-	data, _, err := est.EncodeSlab()
+	data, err := est.EncodeSlab()
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, usedQ, err := LoadEstimatorSlab(data, false)
+	dec, err := LoadEstimatorSlab(data)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if usedQ {
-		t.Fatal("exact load reported quantized")
 	}
 	if dec.NumModels() != est.NumModels() || dec.TrainSamples() != est.TrainSamples() {
 		t.Fatalf("restored %d models / %d samples, want %d / %d",
@@ -98,17 +95,17 @@ func TestEstimatorSlabBitIdentical(t *testing.T) {
 
 // TestEstimatorSlabSaveByteIdentical pins the republish path: Save on a
 // slab-restored estimator (which never materializes mart.Model — the
-// retained §7.3 blobs stand in) must emit byte-identical output to Save
-// on the original. The serving registry re-persists restored estimators
+// compiled views stand in) must emit byte-identical output to Save on
+// the original. The serving registry re-persists restored estimators
 // and diffs snapshots by content hash, so byte drift would churn every
 // snapshot after a restart.
 func TestEstimatorSlabSaveByteIdentical(t *testing.T) {
 	est, _ := slabSetup(t)
-	data, _, err := est.EncodeSlab()
+	data, err := est.EncodeSlab()
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, _, err := LoadEstimatorSlab(data, false)
+	dec, err := LoadEstimatorSlab(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,62 +120,12 @@ func TestEstimatorSlabSaveByteIdentical(t *testing.T) {
 		t.Fatal("slab-restored Save output differs from original")
 	}
 	// And the slab re-encodes to the same bytes too.
-	again, _, err := dec.EncodeSlab()
+	again, err := dec.EncodeSlab()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(data, again) {
 		t.Fatal("slab-restored EncodeSlab output differs from original slab")
-	}
-}
-
-// TestEstimatorSlabQuantized exercises the opt-in float32 layout: the
-// gate must pass on a healthy trained estimator (thresholds and leaf
-// values are float32-exact by training), the quantized load must report
-// itself, and its predictions must stay within the gate tolerance of
-// exact while the batch path matches the single path bit for bit.
-func TestEstimatorSlabQuantized(t *testing.T) {
-	est, test := slabSetup(t)
-	data, quantized, err := est.EncodeSlab()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !quantized {
-		t.Fatal("accuracy gate rejected quantized layout on a healthy estimator")
-	}
-	dec, usedQ, err := LoadEstimatorSlab(data, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !usedQ {
-		t.Fatal("quantized load did not use quantized layout")
-	}
-	kinds, vecs := slabCases(est, test)
-	batch := dec.PredictBatch(kinds, vecs, nil)
-	for i := range kinds {
-		exact := est.PredictVector(kinds[i], &vecs[i])
-		got := dec.PredictVector(kinds[i], &vecs[i])
-		if math.Float64bits(batch[i]) != math.Float64bits(got) {
-			t.Fatalf("case %d: quantized batch %v != single %v", i, batch[i], got)
-		}
-		diff := math.Abs(got - exact)
-		if !(diff <= 1e-2*math.Max(math.Abs(exact), 1)) {
-			t.Fatalf("case %d (%s): quantized %v too far from exact %v", i, kinds[i], got, exact)
-		}
-	}
-	// Exact sections stay authoritative in the same file.
-	exactDec, usedQ2, err := LoadEstimatorSlab(data, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if usedQ2 {
-		t.Fatal("exact load of quantized slab reported quantized")
-	}
-	for i := range kinds[:min(64, len(kinds))] {
-		want := est.PredictVector(kinds[i], &vecs[i])
-		if got := exactDec.PredictVector(kinds[i], &vecs[i]); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("case %d: exact view of quantized slab diverged", i)
-		}
 	}
 }
 
@@ -188,14 +135,14 @@ func TestEstimatorSlabQuantized(t *testing.T) {
 // deeper structural attacks are covered by FuzzSlabDecode.)
 func TestEstimatorSlabRejectsCorruption(t *testing.T) {
 	est, _ := slabSetup(t)
-	data, _, err := est.EncodeSlab()
+	data, err := est.EncodeSlab()
 	if err != nil {
 		t.Fatal(err)
 	}
 	mutate := func(name string, fn func(b []byte) []byte) {
 		t.Helper()
 		b := fn(append([]byte(nil), data...))
-		if _, _, err := LoadEstimatorSlab(b, false); err == nil {
+		if _, err := LoadEstimatorSlab(b); err == nil {
 			t.Fatalf("%s: accepted corrupt slab", name)
 		}
 	}
@@ -242,7 +189,7 @@ func slabGoldenEstimator(t *testing.T) *Estimator {
 
 func TestSlabGolden(t *testing.T) {
 	est := slabGoldenEstimator(t)
-	data, _, err := est.EncodeSlab()
+	data, err := est.EncodeSlab()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +217,7 @@ func TestSlabGolden(t *testing.T) {
 	}
 	// The pinned bytes must load and predict identically to the freshly
 	// trained estimator — the file is a contract, not just a byte dump.
-	dec, _, err := LoadEstimatorSlab(golden, false)
+	dec, err := LoadEstimatorSlab(golden)
 	if err != nil {
 		t.Fatal(err)
 	}

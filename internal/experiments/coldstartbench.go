@@ -16,24 +16,20 @@ import (
 )
 
 // The cold-start baseline behind cmd/resbench -exp coldstartbench: it
-// publishes one snapshot and times restoring it three ways — heap (JSON
-// decode + recompile, slabs disabled), mmap (zero-copy over the exact
-// slab) and quantized (the slab's float32 section) — so BENCH_coldstart
-// tracks restore latency, per-replica private model memory and restored
-// -model batch throughput across PRs. The mmap/heap restore ratio is
-// the headline: it is what turns replica fan-out from O(decode) into
-// O(page fault).
+// publishes one snapshot and times restoring it — zero-copy over the
+// mmap'd slabs — so BENCH_coldstart tracks restore latency, per-replica
+// private model memory and restored-model batch throughput across PRs.
 
-// ColdStartMode is one restore strategy's measurements.
-type ColdStartMode struct {
-	// Mode is "heap", "mmap" or "quantized".
-	Mode string `json:"mode"`
-	// Layouts records how each resource actually materialised
-	// (store.Loaded.Layout values, resource-kind order) — confirms the
-	// intended path engaged rather than silently falling back.
-	Layouts []string `json:"layouts"`
+// ColdStartBench is the serializable cold-start baseline.
+type ColdStartBench struct {
+	Queries    int `json:"queries"`
+	Operators  int `json:"operators"`
+	Iterations int `json:"iterations"`
+	// SlabFileBytes is the snapshot's on-disk slab size summed over
+	// resources (slab pages are shared across co-resident replicas).
+	SlabFileBytes int64 `json:"slab_file_bytes"`
 	// RestoreMillis is the median wall-clock of a full snapshot restore
-	// (manifest read, checksums, decode or map+validate, both models).
+	// (manifest read, map + validate, both models).
 	RestoreMillis float64 `json:"restore_millis"`
 	// PrivateModelBytes is the restored models' private heap footprint
 	// (heap-alloc delta across the restore, after GC). Mapped slab pages
@@ -45,30 +41,9 @@ type ColdStartMode struct {
 	BatchPlansPerSec float64 `json:"batch_plans_per_sec"`
 }
 
-// ColdStartBench is the serializable cold-start baseline.
-type ColdStartBench struct {
-	Queries    int `json:"queries"`
-	Operators  int `json:"operators"`
-	Iterations int `json:"iterations"`
-	// ModelFileBytes / SlabFileBytes are the snapshot's on-disk JSON and
-	// slab sizes summed over resources (slab pages are shared across
-	// co-resident replicas; JSON decode allocates per replica).
-	ModelFileBytes int64 `json:"model_file_bytes"`
-	SlabFileBytes  int64 `json:"slab_file_bytes"`
-	// SlabQuantized reports whether the publish-time accuracy gate
-	// admitted a quantized section (the "quantized" mode degrades to the
-	// exact layout when false).
-	SlabQuantized bool            `json:"slab_quantized"`
-	Modes         []ColdStartMode `json:"modes"`
-	// MmapSpeedup is the heap restore time over the mmap restore time —
-	// the cold-start win of the slab path.
-	MmapSpeedup float64 `json:"mmap_speedup"`
-}
-
 // RunColdStartBench trains CPU+IO models on an n-query workload,
-// publishes one snapshot, and measures restore latency, private model
-// memory and post-restore throughput for the heap, mmap and quantized
-// strategies, taking the median of rounds restores per mode.
+// publishes one snapshot, and measures restore latency (median of
+// rounds restores), private model memory and post-restore throughput.
 func RunColdStartBench(n, iters, rounds int) (*ColdStartBench, error) {
 	if rounds < 1 {
 		rounds = 1
@@ -93,7 +68,7 @@ func RunColdStartBench(n, iters, rounds int) (*ColdStartBench, error) {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	pub, err := store.Open(dir, store.Options{})
+	st, err := store.Open(dir, store.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -102,7 +77,7 @@ func RunColdStartBench(n, iters, rounds int) (*ColdStartBench, error) {
 			return nil, fmt.Errorf("coldstartbench: no %s estimator trained", r)
 		}
 	}
-	man, err := pub.Publish(store.Snapshot{Schema: "tpch", Source: "bench", Models: set})
+	man, err := st.Publish(store.Snapshot{Schema: "tpch", Source: "bench", Models: set})
 	if err != nil {
 		return nil, err
 	}
@@ -116,91 +91,50 @@ func RunColdStartBench(n, iters, rounds int) (*ColdStartBench, error) {
 	}
 	for _, e := range man.Models {
 		if fi, err := os.Stat(filepath.Join(dir, fmt.Sprintf("v%010d", man.Version), e.File)); err == nil {
-			res.ModelFileBytes += fi.Size()
+			res.SlabFileBytes += fi.Size()
 		}
-		if e.SlabFile != "" {
-			if fi, err := os.Stat(filepath.Join(dir, fmt.Sprintf("v%010d", man.Version), e.SlabFile)); err == nil {
-				res.SlabFileBytes += fi.Size()
-			}
-		}
-		res.SlabQuantized = res.SlabQuantized || e.SlabQuantized
 	}
 
-	modes := []struct {
-		name string
-		slab store.SlabMode
-	}{
-		{"heap", store.SlabDisabled},
-		{"mmap", store.SlabExact},
-		{"quantized", store.SlabQuantized},
-	}
-	for _, m := range modes {
-		st, err := store.Open(dir, store.Options{Slab: m.slab})
+	// Restore latency: median of rounds full-snapshot loads. The loaded
+	// sets are kept alive through the memory measurement below so
+	// mapped-page lifetimes match production (mappings persist).
+	var millis []float64
+	var loads []*store.Loaded
+	runtime.GC()
+	var before runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		start := time.Now()
+		loaded, err := st.LoadVersion(man.Version)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("coldstartbench: restore: %w", err)
 		}
-		mode := ColdStartMode{Mode: m.name}
+		millis = append(millis, float64(time.Since(start).Nanoseconds())/1e6)
+		loads = append(loads, loaded)
+	}
+	runtime.GC()
+	var after runtime.MemStats
+	runtime.ReadMemStats(&after)
+	if d := int64(after.HeapAlloc) - int64(before.HeapAlloc); d > 0 {
+		res.PrivateModelBytes = d / int64(rounds)
+	}
+	sort.Float64s(millis)
+	res.RestoreMillis = millis[len(millis)/2]
 
-		// Restore latency: median of rounds full-snapshot loads. The
-		// loaded sets are kept alive through the memory measurement below
-		// so mapped-page lifetimes match production (mappings persist).
-		var millis []float64
-		var loads []*store.Loaded
-		runtime.GC()
-		var before runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < rounds; i++ {
-			start := time.Now()
-			loaded, err := st.LoadVersion(man.Version)
-			if err != nil {
-				return nil, fmt.Errorf("coldstartbench: %s restore: %w", m.name, err)
-			}
-			millis = append(millis, float64(time.Since(start).Nanoseconds())/1e6)
-			loads = append(loads, loaded)
-		}
-		runtime.GC()
-		var after runtime.MemStats
-		runtime.ReadMemStats(&after)
-		if d := int64(after.HeapAlloc) - int64(before.HeapAlloc); d > 0 {
-			mode.PrivateModelBytes = d / int64(rounds)
-		}
-		sort.Float64s(millis)
-		mode.RestoreMillis = millis[len(millis)/2]
-
-		loaded := loads[len(loads)-1]
-		for _, r := range resources {
-			mode.Layouts = append(mode.Layouts, loaded.Layout[r])
-		}
-
-		// Post-restore batch throughput, best of rounds: the restored
-		// models must not trade restore time for prediction time.
+	// Post-restore batch throughput, best of rounds: the restored
+	// models must not trade restore time for prediction time.
+	loaded := loads[len(loads)-1]
+	for i := 0; i < rounds; i++ {
+		start := time.Now()
 		nPlans := 0
-		for i := 0; i < rounds; i++ {
-			start := time.Now()
-			nPlans = 0
-			for _, r := range resources {
-				loaded.Models[r].PredictPlans(plans)
-				nPlans += len(plans)
-			}
-			if pps := float64(nPlans) / time.Since(start).Seconds(); pps > mode.BatchPlansPerSec {
-				mode.BatchPlansPerSec = pps
-			}
+		for _, r := range resources {
+			loaded.Models[r].PredictPlans(plans)
+			nPlans += len(plans)
 		}
-		runtime.KeepAlive(loads)
-		res.Modes = append(res.Modes, mode)
-	}
-
-	var heapMs, mmapMs float64
-	for _, m := range res.Modes {
-		switch m.Mode {
-		case "heap":
-			heapMs = m.RestoreMillis
-		case "mmap":
-			mmapMs = m.RestoreMillis
+		if pps := float64(nPlans) / time.Since(start).Seconds(); pps > res.BatchPlansPerSec {
+			res.BatchPlansPerSec = pps
 		}
 	}
-	if mmapMs > 0 {
-		res.MmapSpeedup = heapMs / mmapMs
-	}
+	runtime.KeepAlive(loads)
 	return res, nil
 }

@@ -126,115 +126,3 @@ func TestSlabRejectsCorruption(t *testing.T) {
 		return b
 	})
 }
-
-// TestQuantizeCloseness bounds the quantized walk against the exact
-// walk. Training stores float32-exact thresholds and leaf values, so
-// on probe vectors the two layouts agree to within routing resolution
-// — a tight relative tolerance, not bit equality.
-func TestQuantizeCloseness(t *testing.T) {
-	c, xs := trainedCompiled(t, 1500, 17)
-	q := c.Quantize()
-	if q.NumTrees() != c.NumTrees() {
-		t.Fatalf("quantized %d trees, want %d", q.NumTrees(), c.NumTrees())
-	}
-	probes := slabProbes(xs, 41)
-	batch := make([]float64, len(probes))
-	q.PredictBatch(probes, batch)
-	for i, x := range probes {
-		exact := c.Predict(x)
-		got := q.Predict(x)
-		if math.Float64bits(batch[i]) != math.Float64bits(got) {
-			t.Fatalf("probe %d: quantized batch %v != single %v", i, batch[i], got)
-		}
-		diff := math.Abs(got - exact)
-		tol := 1e-4 * math.Max(1, math.Abs(exact))
-		if !(diff <= tol) {
-			t.Fatalf("probe %d: quantized %v vs exact %v (diff %v)", i, got, exact, diff)
-		}
-	}
-}
-
-// TestQuantizedSlabRoundTrip proves the quantized slab codec is
-// lossless relative to the in-memory CompiledQ, via both decode paths.
-func TestQuantizedSlabRoundTrip(t *testing.T) {
-	c, xs := trainedCompiled(t, 900, 23)
-	q := c.Quantize()
-	blob := q.AppendSlab(nil)
-	if len(blob) != q.SlabSize() {
-		t.Fatalf("encoded %d bytes, SlabSize says %d", len(blob), q.SlabSize())
-	}
-	probes := slabProbes(xs, 57)
-	for _, forceCopy := range []bool{false, true} {
-		slabForceCopy = forceCopy
-		dec, err := CompiledQFromSlab(blob)
-		slabForceCopy = false
-		if err != nil {
-			t.Fatalf("forceCopy=%v: %v", forceCopy, err)
-		}
-		batch := make([]float64, len(probes))
-		dec.PredictBatch(probes, batch)
-		for i, x := range probes {
-			want := q.Predict(x)
-			if got := dec.Predict(x); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("forceCopy=%v probe %d: %v != %v", forceCopy, i, got, want)
-			}
-			if math.Float64bits(batch[i]) != math.Float64bits(want) {
-				t.Fatalf("forceCopy=%v probe %d: batch %v != %v", forceCopy, i, batch[i], want)
-			}
-		}
-	}
-	if _, err := CompiledQFromSlab(blob[:len(blob)-4]); err == nil {
-		t.Fatal("truncated quantized slab accepted")
-	}
-	bad := append([]byte(nil), blob...)
-	bad[0] ^= 0xFF
-	if _, err := CompiledQFromSlab(bad); err == nil {
-		t.Fatal("bad quantized magic accepted")
-	}
-}
-
-// TestQuantizedMarginsMatchPredict pins the explain surface: the final
-// margin equals Predict bit for bit, and the margin count equals the
-// tree count, mirroring the exact-mode contract.
-func TestQuantizedMarginsMatchPredict(t *testing.T) {
-	c, xs := trainedCompiled(t, 600, 29)
-	q := c.Quantize()
-	for _, x := range xs[:64] {
-		margins, y := q.PredictMargins(x, nil)
-		if len(margins) != q.NumTrees() {
-			t.Fatalf("%d margins, want %d", len(margins), q.NumTrees())
-		}
-		if math.Float64bits(y) != math.Float64bits(q.Predict(x)) {
-			t.Fatalf("margin final %v != Predict %v", y, q.Predict(x))
-		}
-		if len(margins) > 0 && math.Float64bits(margins[len(margins)-1]) != math.Float64bits(y) {
-			t.Fatalf("last margin %v != final %v", margins[len(margins)-1], y)
-		}
-	}
-}
-
-// TestFloatKey32Ordering checks the float32 sign-fold preserves
-// ordering and maps NaN above every threshold key, mirroring the
-// float64 key's routing contract.
-func TestFloatKey32Ordering(t *testing.T) {
-	vals := []float32{
-		float32(math.Inf(-1)), -1e30, -2.5, -1, -math.SmallestNonzeroFloat32,
-		0, math.SmallestNonzeroFloat32, 0.5, 1, 3.75, 1e30, float32(math.Inf(1)),
-	}
-	for i := 0; i < len(vals)-1; i++ {
-		if !(floatKey32(vals[i]) < floatKey32(vals[i+1])) {
-			t.Fatalf("key ordering broken at %v < %v", vals[i], vals[i+1])
-		}
-	}
-	nan := floatKey32(float32(math.NaN()))
-	for _, v := range vals {
-		if nan <= floatKey32(v) {
-			t.Fatalf("NaN key %#x not above %v", nan, v)
-		}
-	}
-	for _, f := range []float64{-17.25, 0, 1e-12, 3.5, 12345.678, -1e100, 1e100} {
-		if got := keyToFloat(floatKey(f)); math.Float64bits(got) != math.Float64bits(f) {
-			t.Fatalf("keyToFloat(floatKey(%v)) = %v", f, got)
-		}
-	}
-}

@@ -607,8 +607,9 @@ func (r *Registry) PublishEstimator(schema string, est *core.Estimator) uint64 {
 	return r.PublishAs(schema, est, "retrain").Version
 }
 
-// PublishFile loads an estimator saved by core (*Estimator).Save and
-// publishes it under schema.
+// PublishFile loads a model slab saved by core (*Estimator).Save and
+// publishes it under schema. Any other file — including a JSON model
+// file written by an earlier build — fails to load with an error.
 func (r *Registry) PublishFile(schema, path string) (ModelInfo, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -448,7 +448,8 @@ func TestHTTPEndpoints(t *testing.T) {
 }
 
 // TestPublishFileRoundTrip persists an estimator with core's Save and
-// publishes it from disk, checking served predictions survive.
+// publishes it from disk, checking served predictions survive bit for
+// bit.
 func TestPublishFileRoundTrip(t *testing.T) {
 	svc := newService(t, serve.Options{})
 	var buf bytes.Buffer
@@ -456,7 +457,7 @@ func TestPublishFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	path := dir + "/cpu.json"
+	path := dir + "/cpu.slab"
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -473,10 +474,10 @@ func TestPublishFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := cpuEst.PredictPlan(p)
-	if math.Abs(resp.Total-want) > 0.05*(want+1) {
+	if math.Float64bits(resp.Total) != math.Float64bits(want) {
 		t.Fatalf("persisted model drifted: %v vs %v", resp.Total, want)
 	}
-	if _, err := svc.Registry().PublishFile("x", dir+"/missing.json"); err == nil {
+	if _, err := svc.Registry().PublishFile("x", dir+"/missing.slab"); err == nil {
 		t.Fatal("missing model file accepted")
 	}
 }
@@ -495,10 +496,16 @@ func TestHTTPPublish(t *testing.T) {
 	if err := cpuEst.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(dir+"/cpu.json", buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(dir+"/cpu.slab", buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	body, _ := json.Marshal(map[string]string{"schema": "tpch", "path": "cpu.json"})
+	// A model file in the JSON envelope earlier builds wrote: publishing
+	// it must be refused as a bad request, never decoded.
+	legacy := `{"version":1,"resource":0,"mode":0,"fallback_mean":1,"ops":[]}` + "\n"
+	if err := os.WriteFile(dir+"/legacy-model.json", []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	body, _ := json.Marshal(map[string]string{"schema": "tpch", "path": "cpu.slab"})
 	resp, err := http.Post(ts.URL+"/models", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -525,17 +532,23 @@ func TestHTTPPublish(t *testing.T) {
 	}{
 		{"bad json", `{`},
 		{"missing path", `{"schema":"tpch"}`},
-		{"missing file", `{"path":"nonexistent-model.json"}`},
+		{"missing file", `{"path":"nonexistent-model.slab"}`},
 		{"absolute path", `{"path":"/etc/passwd"}`},
-		{"escaping path", `{"path":"../cpu.json"}`},
+		{"escaping path", `{"path":"../cpu.slab"}`},
+		{"JSON model file", `{"schema":"tpch","path":"legacy-model.json"}`},
 	} {
 		resp, err := http.Post(ts.URL+"/models", "application/json", bytes.NewReader([]byte(tc.body)))
 		if err != nil {
 			t.Fatal(err)
 		}
+		var e wireErrorJSON
+		err = json.NewDecoder(resp.Body).Decode(&e)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s: status %d, want 400", tc.name, resp.StatusCode)
+		}
+		if err != nil || e.Code != "bad_request" || e.Error == "" {
+			t.Fatalf("%s: error envelope %+v (decode: %v), want code bad_request", tc.name, e, err)
 		}
 	}
 
@@ -544,7 +557,7 @@ func TestHTTPPublish(t *testing.T) {
 	tsOff := httptest.NewServer(off.Handler())
 	t.Cleanup(tsOff.Close)
 	resp, err = http.Post(tsOff.URL+"/models", "application/json",
-		bytes.NewReader([]byte(`{"path":"cpu.json"}`)))
+		bytes.NewReader([]byte(`{"path":"cpu.slab"}`)))
 	if err != nil {
 		t.Fatal(err)
 	}

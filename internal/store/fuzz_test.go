@@ -17,7 +17,7 @@ func FuzzManifestDecode(f *testing.F) {
 		Source:        "upload",
 		Models: []ModelEntry{{
 			Resource:  "cpu",
-			File:      "cpu.model.json",
+			File:      "cpu.model.slab",
 			SHA256:    "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef",
 			Mode:      "exact",
 			NumModels: 5,

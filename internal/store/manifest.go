@@ -48,9 +48,14 @@ type Manifest struct {
 type ModelEntry struct {
 	// Resource is the wire name ("cpu", "io").
 	Resource string `json:"resource"`
-	// File is the model file's name within the snapshot directory.
+	// File is the model slab's name within the snapshot directory (the
+	// mmap'd zero-copy restore format, see core.EncodeSlab).
 	File string `json:"file"`
-	// SHA256 is the hex checksum of the model file's contents.
+	// SHA256 is the hex checksum of the whole slab file — the audit
+	// record for operators and offline integrity sweeps. Loads do not
+	// hash the whole file (that would cost more than the restore
+	// itself); they rely on the slab's internal per-section CRCs, which
+	// cover every byte a restore dereferences.
 	SHA256 string `json:"sha256"`
 	// Mode is the feature mode the model was trained with
 	// ("exact", "estimated").
@@ -64,23 +69,6 @@ type ModelEntry struct {
 	// TrainSamples is the number of per-operator training samples the
 	// model was fitted on (provenance; 0 when unknown).
 	TrainSamples int `json:"train_samples,omitempty"`
-	// SlabFile names the model's compiled-slab sibling (the mmap'd
-	// zero-copy restore format, see core.EncodeSlab), written alongside
-	// File at publish. Optional: snapshots published by older builds
-	// have none and restore via JSON decode; a present-but-corrupt slab
-	// falls back the same way, so the slab is an accelerator, never a
-	// second point of failure.
-	SlabFile string `json:"slab_file,omitempty"`
-	// SlabSHA256 is the hex checksum of the whole slab file — the audit
-	// record for operators and offline integrity sweeps. Loads do not
-	// hash the whole file (that would cost more than the restore
-	// itself); they rely on the slab's internal per-section CRCs, which
-	// cover every byte a restore dereferences.
-	SlabSHA256 string `json:"slab_sha256,omitempty"`
-	// SlabQuantized records whether the slab carries the optional
-	// float32-quantized section (present only when the encode-time
-	// accuracy gate passed).
-	SlabQuantized bool `json:"slab_quantized,omitempty"`
 }
 
 // Resource looks up the entry for the given wire name.
@@ -145,16 +133,6 @@ func (m *Manifest) validate() error {
 		}
 		if err := validChecksum(e.SHA256); err != nil {
 			return fmt.Errorf("store: manifest: model %q has malformed checksum", e.Resource)
-		}
-		if e.SlabFile != "" {
-			if strings.ContainsAny(e.SlabFile, "/\\") || e.SlabFile == "." || e.SlabFile == ".." || e.SlabFile == e.File {
-				return fmt.Errorf("store: manifest: model %q has invalid slab file name %q", e.Resource, e.SlabFile)
-			}
-			if err := validChecksum(e.SlabSHA256); err != nil {
-				return fmt.Errorf("store: manifest: model %q has malformed slab checksum", e.Resource)
-			}
-		} else if e.SlabSHA256 != "" || e.SlabQuantized {
-			return fmt.Errorf("store: manifest: model %q has slab metadata but no slab file", e.Resource)
 		}
 	}
 	return nil

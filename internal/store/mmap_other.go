@@ -7,8 +7,8 @@ import "os"
 // Portable fallback for platforms without the mmap path: the slab file
 // is read onto the heap. The zero-copy alias inside the slab decoders
 // still applies (the Compiled views point into this buffer), so restore
-// skips the JSON decode and recompile either way; only the page-sharing
-// and lazy-fault properties of the real mapping are lost.
+// skips any recompile either way; only the page-sharing and lazy-fault
+// properties of the real mapping are lost.
 type mappedFile struct {
 	b []byte
 }

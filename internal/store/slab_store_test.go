@@ -1,12 +1,12 @@
 package store
 
 import (
+	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
 	"os"
 	"path/filepath"
-	"strings"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -24,174 +24,137 @@ func publishOne(t *testing.T, st *Store, schema string, r plan.ResourceKind, est
 	return man
 }
 
-// corruptFile flips one byte a quarter into path — for a slab, safely
-// inside the MARTS section an exact-mode restore actually checksums
-// (sections the restore never reads are deliberately not verified).
-func corruptFile(t *testing.T, path string) {
+// TestSlabRestorePreferred: a publish writes exactly the manifest and
+// one slab per resource, names each slab in the manifest, and restores
+// through them — zero-copy, bit-identical to the heap estimators.
+func TestSlabRestorePreferred(t *testing.T) {
+	setup(t)
+	st := openStore(t, t.TempDir(), Options{})
+	man, err := st.Publish(Snapshot{Schema: "tpch",
+		Models: map[plan.ResourceKind]*core.Estimator{plan.CPUTime: cpuEst, plan.LogicalIO: ioEst}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []string{"cpu.model.slab", "io.model.slab"} {
+		if e := man.Models[i]; e.File != want || len(e.SHA256) != 64 {
+			t.Fatalf("manifest entry %d: %+v, want file %s", i, e, want)
+		}
+	}
+	entries, err := os.ReadDir(st.versionDir(man.Version))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	slices.Sort(names)
+	if want := []string{"cpu.model.slab", "io.model.slab", manifestName}; !slices.Equal(names, want) {
+		t.Fatalf("snapshot holds %v, want %v", names, want)
+	}
+
+	loaded, err := st.LoadVersion(man.Version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range testPlans {
+		for r, est := range map[plan.ResourceKind]*core.Estimator{plan.CPUTime: cpuEst, plan.LogicalIO: ioEst} {
+			if got, want := loaded.Models[r].PredictPlan(p), est.PredictPlan(p); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s slab restore drifted: %v != %v", r, got, want)
+			}
+		}
+	}
+}
+
+// TestSlabDegradationFallsBackToPreviousVersion: whatever is wrong with
+// the newest snapshot's slab — a flipped byte the MARTS CRC catches, a
+// torn write, the format-1 layout earlier builds wrote, a missing file
+// — loading that snapshot fails with ErrCorrupt and LoadLatest serves
+// the previous intact version, bit-identical to its estimator.
+func TestSlabDegradationFallsBackToPreviousVersion(t *testing.T) {
+	setup(t)
+	for _, tc := range []struct {
+		name   string
+		damage func(t *testing.T, path string)
+	}{
+		{"flipped-marts-byte", func(t *testing.T, path string) {
+			data := readFile(t, path)
+			off, n := slabSection(t, data, 2)
+			data[off+n/2] ^= 0x40
+			writeFile(t, path, data)
+		}},
+		{"truncated", func(t *testing.T, path string) {
+			data := readFile(t, path)
+			writeFile(t, path, data[:len(data)/2])
+		}},
+		{"format-1", func(t *testing.T, path string) {
+			// The format field is the first thing the decoder checks
+			// after the magic, so a format-1 file is rejected before any
+			// of its sections is read.
+			data := readFile(t, path)
+			binary.LittleEndian.PutUint16(data[4:], 1)
+			writeFile(t, path, data)
+		}},
+		{"missing", func(t *testing.T, path string) {
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := openStore(t, t.TempDir(), Options{})
+			man1 := publishOne(t, st, "tpch", plan.CPUTime, cpuEst)
+			man2 := publishOne(t, st, "tpch", plan.CPUTime, cpuEstB)
+			tc.damage(t, filepath.Join(st.versionDir(man2.Version), man2.Models[0].File))
+
+			if _, err := st.LoadVersion(man2.Version); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("damaged snapshot load yielded %v, want ErrCorrupt", err)
+			}
+			loaded, err := st.LoadLatest("tpch")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if loaded.Manifest.Version != man1.Version {
+				t.Fatalf("fell back to v%d, want the intact v%d", loaded.Manifest.Version, man1.Version)
+			}
+			for _, p := range testPlans {
+				if got, want := loaded.Models[plan.CPUTime].PredictPlan(p), cpuEst.PredictPlan(p); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("recovered model is not v1's: %v != %v", got, want)
+				}
+			}
+		})
+	}
+}
+
+// slabSection returns the byte range of the slab section of the given
+// kind, read from the slab's section table (24-byte header, then
+// 24-byte entries: u32 kind, u32 CRC, u64 offset, u64 length).
+func slabSection(t *testing.T, data []byte, kind uint32) (off, n int) {
+	t.Helper()
+	nSect := int(binary.LittleEndian.Uint32(data[8:]))
+	for i := 0; i < nSect; i++ {
+		ent := data[24+24*i:]
+		if binary.LittleEndian.Uint32(ent) == kind {
+			return int(binary.LittleEndian.Uint64(ent[8:])), int(binary.LittleEndian.Uint64(ent[16:]))
+		}
+	}
+	t.Fatalf("slab has no section %d", kind)
+	return 0, 0
+}
+
+func readFile(t *testing.T, path string) []byte {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)/4] ^= 0x40
+	return data
+}
+
+func writeFile(t *testing.T, path string, data []byte) {
+	t.Helper()
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestSlabRestorePreferred: a default-options publish writes slab files,
-// records them in the manifest, and restores through them — zero-copy,
-// bit-identical to the heap estimator.
-func TestSlabRestorePreferred(t *testing.T) {
-	setup(t)
-	st := openStore(t, t.TempDir(), Options{})
-	man := publishOne(t, st, "tpch", plan.CPUTime, cpuEst)
-
-	e := man.Models[0]
-	if e.SlabFile != "cpu.model.slab" || len(e.SlabSHA256) != 64 {
-		t.Fatalf("manifest missing slab metadata: %+v", e)
-	}
-	if _, err := os.Stat(filepath.Join(st.versionDir(man.Version), e.SlabFile)); err != nil {
-		t.Fatalf("slab file not written: %v", err)
-	}
-
-	loaded, err := st.LoadVersion(man.Version)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := loaded.Layout[plan.CPUTime]; got != "mmap" {
-		t.Fatalf("layout %q, want mmap (exact mode is the default)", got)
-	}
-	for _, p := range testPlans {
-		if got, want := loaded.Models[plan.CPUTime].PredictPlan(p), cpuEst.PredictPlan(p); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("slab restore drifted: %v != %v", got, want)
-		}
-	}
-}
-
-// TestSlabCorruptionFallsBackToJSON is the first fallback hop: a
-// tampered slab with an intact manifest and model blob restores the
-// same snapshot through the JSON path — logged, never failed.
-func TestSlabCorruptionFallsBackToJSON(t *testing.T) {
-	setup(t)
-	var logs []string
-	st := openStore(t, t.TempDir(), Options{Logf: func(f string, a ...any) {
-		logs = append(logs, fmt.Sprintf(f, a...))
-	}})
-	man := publishOne(t, st, "tpch", plan.CPUTime, cpuEst)
-	corruptFile(t, filepath.Join(st.versionDir(man.Version), "cpu.model.slab"))
-
-	loaded, err := st.LoadVersion(man.Version)
-	if err != nil {
-		t.Fatalf("corrupt slab must not fail the load: %v", err)
-	}
-	if got := loaded.Layout[plan.CPUTime]; got != "json" {
-		t.Fatalf("layout %q, want json after slab corruption", got)
-	}
-	for _, p := range testPlans {
-		if got, want := loaded.Models[plan.CPUTime].PredictPlan(p), cpuEst.PredictPlan(p); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("json fallback drifted: %v != %v", got, want)
-		}
-	}
-	found := false
-	for _, l := range logs {
-		if strings.Contains(l, "slab unusable") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("slab demotion was not logged: %q", logs)
-	}
-}
-
-// TestSlabAndJSONCorruptionFallsBackToPreviousVersion is the second
-// fallback hop: with both the slab and the model blob of the newest
-// snapshot bad, LoadLatest lands on the previous intact version.
-func TestSlabAndJSONCorruptionFallsBackToPreviousVersion(t *testing.T) {
-	setup(t)
-	st := openStore(t, t.TempDir(), Options{})
-	man1 := publishOne(t, st, "tpch", plan.CPUTime, cpuEst)
-	man2 := publishOne(t, st, "tpch", plan.CPUTime, cpuEstB)
-	corruptFile(t, filepath.Join(st.versionDir(man2.Version), "cpu.model.slab"))
-	corruptFile(t, filepath.Join(st.versionDir(man2.Version), "cpu.model.json"))
-
-	if _, err := st.LoadVersion(man2.Version); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("doubly corrupt snapshot loaded: %v", err)
-	}
-	loaded, err := st.LoadLatest("tpch")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Manifest.Version != man1.Version {
-		t.Fatalf("fell back to v%d, want the intact v%d", loaded.Manifest.Version, man1.Version)
-	}
-	for _, p := range testPlans[:4] {
-		if got, want := loaded.Models[plan.CPUTime].PredictPlan(p), cpuEst.PredictPlan(p); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatal("recovered model is not v1's")
-		}
-	}
-}
-
-// TestSlabQuantizedMode: a SlabQuantized store restores through the
-// slab's float32 section when the publish-time gate admitted one, and
-// predictions stay within the gate's tolerance of the exact model.
-func TestSlabQuantizedMode(t *testing.T) {
-	setup(t)
-	dir := t.TempDir()
-	pub := openStore(t, dir, Options{})
-	man := publishOne(t, pub, "tpch", plan.CPUTime, cpuEst)
-	if !man.Models[0].SlabQuantized {
-		t.Skip("accuracy gate rejected quantization for this model; exact-only slab")
-	}
-	st := openStore(t, dir, Options{Slab: SlabQuantized})
-	loaded, err := st.LoadVersion(man.Version)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := loaded.Layout[plan.CPUTime]; got != "mmap-quantized" {
-		t.Fatalf("layout %q, want mmap-quantized", got)
-	}
-	for _, p := range testPlans {
-		got, want := loaded.Models[plan.CPUTime].PredictPlan(p), cpuEst.PredictPlan(p)
-		if rel := math.Abs(got-want) / math.Max(math.Abs(want), 1); rel > 1e-2 {
-			t.Fatalf("quantized prediction %v too far from exact %v", got, want)
-		}
-	}
-}
-
-// TestSlabDisabledAndLegacySnapshots: a SlabDisabled store publishes no
-// slab files, and a default store restores slab-less (legacy) snapshots
-// through JSON without complaint — forward and backward compatible.
-func TestSlabDisabledAndLegacySnapshots(t *testing.T) {
-	setup(t)
-	dir := t.TempDir()
-	off := openStore(t, dir, Options{Slab: SlabDisabled})
-	man := publishOne(t, off, "tpch", plan.CPUTime, cpuEst)
-	if e := man.Models[0]; e.SlabFile != "" || e.SlabSHA256 != "" || e.SlabQuantized {
-		t.Fatalf("SlabDisabled publish recorded slab metadata: %+v", e)
-	}
-	if _, err := os.Stat(filepath.Join(off.versionDir(man.Version), "cpu.model.slab")); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("SlabDisabled publish wrote a slab file: %v", err)
-	}
-
-	on := openStore(t, dir, Options{})
-	loaded, err := on.LoadVersion(man.Version)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := loaded.Layout[plan.CPUTime]; got != "json" {
-		t.Fatalf("legacy snapshot layout %q, want json", got)
-	}
-
-	// The reverse direction: a SlabDisabled reader ignores slab files a
-	// newer publisher wrote.
-	man2 := publishOne(t, on, "tpch", plan.CPUTime, cpuEstB)
-	loaded2, err := off.LoadVersion(man2.Version)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := loaded2.Layout[plan.CPUTime]; got != "json" {
-		t.Fatalf("SlabDisabled reader layout %q, want json", got)
 	}
 }
 

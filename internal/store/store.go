@@ -6,7 +6,7 @@
 // POST /models read loose files from a directory, and the feedback
 // retrainer published straight into the registry with no durable
 // record. The store unifies them: every publish writes one *snapshot* —
-// a directory holding the schema's model files (one per resource) plus
+// a directory holding the schema's model slabs (one per resource) plus
 // a JSON manifest with checksums — atomically, via temp-dir + rename.
 // The serving registry reads the same snapshots back for crash
 // recovery (load-latest at boot) and rollback (load the previous
@@ -16,17 +16,18 @@
 // Layout:
 //
 //	<dir>/v0000000007/manifest.json   snapshot 7's manifest
-//	<dir>/v0000000007/cpu.model.json  model blobs (core.Estimator.Save)
-//	<dir>/v0000000007/io.model.json
-//	<dir>/v0000000007/cpu.model.slab  compiled slabs (core.Estimator.EncodeSlab),
+//	<dir>/v0000000007/cpu.model.slab  model slabs (core.Estimator.EncodeSlab),
 //	<dir>/v0000000007/io.model.slab   mmap'd for zero-copy restore
 //	<dir>/.tmp-*                      in-flight publishes (cleaned at Open)
 //
 // A crash mid-publish leaves only a .tmp-* directory, which Open
 // removes; a snapshot directory either exists completely (the rename
 // is atomic) or not at all. Corruption after the fact — torn writes,
-// bit rot, tampering — is caught at load time by the manifest's SHA-256
-// checksums, and LoadLatest falls back to the newest intact snapshot.
+// bit rot, tampering — is caught at load time by the slab's header
+// length and per-section CRC-32C checksums, and LoadLatest falls back
+// to the newest intact snapshot. Snapshots written by earlier builds
+// (JSON model files, format-1 slabs) fail the same checks and are
+// skipped the same way; a store holding only those re-bootstraps.
 package store
 
 import (
@@ -57,31 +58,12 @@ var (
 	ErrCorrupt = errors.New("store: corrupt snapshot")
 )
 
-// SlabMode selects how the store uses compiled-slab files — the
-// mmap'd zero-copy sibling written next to each model blob at publish.
-type SlabMode int
-
-const (
-	// SlabExact (the default) restores from the slab's exact float64
-	// layout when present and intact, bit-identical to the JSON path.
-	SlabExact SlabMode = iota
-	// SlabQuantized prefers the slab's float32-quantized section
-	// (smaller, faster) when the publish-time accuracy gate admitted
-	// one; falls back to the exact layout otherwise.
-	SlabQuantized
-	// SlabDisabled ignores slab files entirely: publishes write none
-	// and restores always JSON-decode.
-	SlabDisabled
-)
-
 // Options configures a Store.
 type Options struct {
 	// Retain bounds the number of snapshots kept per schema: GC removes
 	// older ones (pinned snapshots are always kept). 0 selects the
 	// default (16); negative disables GC entirely.
 	Retain int
-	// Slab selects the compiled-slab policy (default SlabExact).
-	Slab SlabMode
 	// Logf, when set, receives one line per notable event (tmp cleanup,
 	// corrupt snapshot skipped, GC).
 	Logf func(format string, args ...any)
@@ -92,7 +74,6 @@ type Options struct {
 type Store struct {
 	dir    string
 	retain int
-	slab   SlabMode
 	logf   func(format string, args ...any)
 
 	mu   sync.Mutex
@@ -126,11 +107,6 @@ type Snapshot struct {
 type Loaded struct {
 	Manifest *Manifest
 	Models   map[plan.ResourceKind]*core.Estimator
-	// Layout records how each model was materialised: "mmap" (zero-copy
-	// over the slab's exact layout), "mmap-quantized" (the slab's
-	// float32 section), or "json" (heap decode + recompile). Surfaced so
-	// operators can confirm the fast path actually engaged.
-	Layout map[plan.ResourceKind]string
 }
 
 const (
@@ -161,7 +137,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	s := &Store{
 		dir:    dir,
 		retain: opts.Retain,
-		slab:   opts.Slab,
 		logf:   opts.Logf,
 		pins:   make(map[string]map[uint64]struct{}),
 	}
@@ -210,7 +185,7 @@ func (s *Store) versionDir(v uint64) string {
 	return filepath.Join(s.dir, fmt.Sprintf(dirFormat, v))
 }
 
-// Publish persists snap as a new snapshot version: model files and
+// Publish persists snap as a new snapshot version: model slabs and
 // manifest are written to a temp directory, synced, and renamed into
 // place in one atomic step — a reader (or a crash) sees either the
 // whole snapshot or none of it. Retention GC runs afterwards.
@@ -246,36 +221,22 @@ func (s *Store) Publish(snap Snapshot) (*Manifest, error) {
 		if est.Resource != r {
 			return nil, fmt.Errorf("store: %s model keyed as %s", est.Resource, r)
 		}
-		var buf strings.Builder
-		if err := est.Save(&buf); err != nil {
+		slab, err := est.EncodeSlab()
+		if err != nil {
 			return nil, fmt.Errorf("store: encode %s model: %w", r, err)
 		}
-		blob := []byte(buf.String())
-		sum := sha256.Sum256(blob)
+		sum := sha256.Sum256(slab)
 		entry := ModelEntry{
 			Resource:     r.WireName(),
-			File:         r.WireName() + ".model.json",
+			File:         r.WireName() + ".model.slab",
 			SHA256:       hex.EncodeToString(sum[:]),
 			Mode:         modeName(est),
 			NumModels:    est.NumModels(),
 			Baseline:     est.Baseline,
 			TrainSamples: est.TrainSamples(),
 		}
-		// The slab is an accelerator, never a publish failure: an encode
-		// error just means this snapshot restores via JSON decode.
-		if s.slab != SlabDisabled {
-			if slab, quantized, err := est.EncodeSlab(); err != nil {
-				s.logf("store: %s slab encode skipped: %v", r, err)
-			} else {
-				slabSum := sha256.Sum256(slab)
-				entry.SlabFile = r.WireName() + ".model.slab"
-				entry.SlabSHA256 = hex.EncodeToString(slabSum[:])
-				entry.SlabQuantized = quantized
-				files = append(files, namedBlob{name: entry.SlabFile, data: slab})
-			}
-		}
 		man.Models = append(man.Models, entry)
-		files = append(files, namedBlob{name: entry.File, data: blob})
+		files = append(files, namedBlob{name: entry.File, data: slab})
 	}
 	out, err := s.write(man, files)
 	if err == nil {
@@ -452,17 +413,10 @@ func (s *Store) Schemas() ([]string, error) {
 	return out, nil
 }
 
-// LoadVersion loads snapshot v, verifying every model file against the
-// manifest's checksum before decoding it. A mismatch — a torn write, a
-// truncated file, tampering — yields ErrCorrupt, never a silently
-// wrong model.
-//
-// When the manifest lists a slab file and the store's slab mode allows
-// it, each model restores zero-copy over the mmap'd slab instead of
-// JSON-decoding; a corrupt or unloadable slab demotes that model to the
-// JSON path (logged), and only if the JSON blob is *also* bad does the
-// snapshot count as corrupt — at which point the caller's
-// latest-intact-version walk takes over.
+// LoadVersion loads snapshot v, each model restored zero-copy over its
+// mmap'd slab. A missing, truncated, tampered or foreign-format slab
+// yields ErrCorrupt, never a silently wrong model — at which point the
+// caller's latest-intact-version walk takes over.
 func (s *Store) LoadVersion(v uint64) (*Loaded, error) {
 	start := time.Now()
 	man, err := s.Manifest(v)
@@ -472,71 +426,45 @@ func (s *Store) LoadVersion(v uint64) (*Loaded, error) {
 	out := &Loaded{
 		Manifest: man,
 		Models:   make(map[plan.ResourceKind]*core.Estimator, len(man.Models)),
-		Layout:   make(map[plan.ResourceKind]string, len(man.Models)),
 	}
 	for _, e := range man.Models {
 		r, ok := wireResource(e.Resource)
 		if !ok {
 			return nil, fmt.Errorf("%w: v%d: unknown resource %q", ErrCorrupt, v, e.Resource)
 		}
-		if e.SlabFile != "" && s.slab != SlabDisabled {
-			est, layout, err := s.loadSlab(v, e, r)
-			if err == nil {
-				out.Models[r] = est
-				out.Layout[r] = layout
-				continue
-			}
-			s.logf("store: v%d: %s slab unusable, falling back to JSON: %v", v, e.SlabFile, err)
-		}
-		data, err := os.ReadFile(filepath.Join(s.versionDir(v), e.File))
-		if err != nil {
-			return nil, fmt.Errorf("%w: v%d: %v", ErrCorrupt, v, err)
-		}
-		sum := sha256.Sum256(data)
-		if hex.EncodeToString(sum[:]) != e.SHA256 {
-			return nil, fmt.Errorf("%w: v%d: %s checksum mismatch", ErrCorrupt, v, e.File)
-		}
-		est, err := core.LoadEstimator(strings.NewReader(string(data)))
+		est, err := s.loadSlab(v, e.File, r)
 		if err != nil {
 			return nil, fmt.Errorf("%w: v%d: %s: %v", ErrCorrupt, v, e.File, err)
 		}
-		if est.Resource != r {
-			return nil, fmt.Errorf("%w: v%d: %s holds a %s model", ErrCorrupt, v, e.File, est.Resource)
-		}
 		out.Models[r] = est
-		out.Layout[r] = "json"
 	}
 	s.restoreHist.Observe(time.Since(start))
 	return out, nil
 }
 
 // loadSlab restores one model zero-copy from its slab file: mmap, then
-// the slab decoder's own header/CRC/structural validation. The decoder
-// checksums exactly the sections this restore reads, so load cost —
-// and the pages faulted in — scale with what is used, not with file
-// size; the manifest's whole-file SHA-256 stays an audit record rather
-// than an eager O(file) scan. On success the mapping stays alive for
-// the life of the process (the estimator's compiled views alias the
-// mapped pages — see mappedFile.Close); on any failure the mapping is
-// released and the caller falls back to the JSON blob.
-func (s *Store) loadSlab(v uint64, e ModelEntry, r plan.ResourceKind) (*core.Estimator, string, error) {
-	m, err := mmapFile(filepath.Join(s.versionDir(v), e.SlabFile))
+// the slab decoder's own header/CRC/structural validation. The
+// per-section CRCs cover every byte a restore dereferences; the
+// manifest's whole-file SHA-256 stays an audit record rather than an
+// eager O(file) scan that would cost more than the restore itself. On
+// success the mapping stays alive for the life of the process (the
+// estimator's compiled views alias the mapped pages — see
+// mappedFile.Close); on any failure the mapping is released.
+func (s *Store) loadSlab(v uint64, name string, r plan.ResourceKind) (*core.Estimator, error) {
+	m, err := mmapFile(filepath.Join(s.versionDir(v), name))
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	est, quantized, err := core.LoadEstimatorSlab(m.Bytes(), s.slab == SlabQuantized)
+	est, err := core.LoadEstimatorSlab(m.Bytes())
 	if err != nil {
 		m.Close()
-		return nil, "", err
+		return nil, err
 	}
 	if est.Resource != r {
 		m.Close()
-		return nil, "", fmt.Errorf("slab holds a %s model", est.Resource)
+		return nil, fmt.Errorf("slab holds a %s model", est.Resource)
 	}
-	if quantized {
-		return est, "mmap-quantized", nil
-	}
-	return est, "mmap", nil
+	return est, nil
 }
 
 // LoadLatest loads the newest intact snapshot for schema, skipping

@@ -131,7 +131,7 @@ func TestManifestGolden(t *testing.T) {
 		Models: []ModelEntry{
 			{
 				Resource:  "cpu",
-				File:      "cpu.model.json",
+				File:      "cpu.model.slab",
 				SHA256:    strings.Repeat("ab", 32),
 				Mode:      "exact",
 				NumModels: 42,
@@ -139,7 +139,7 @@ func TestManifestGolden(t *testing.T) {
 			},
 			{
 				Resource:  "io",
-				File:      "io.model.json",
+				File:      "io.model.slab",
 				SHA256:    strings.Repeat("cd", 32),
 				Mode:      "exact",
 				NumModels: 37,
@@ -199,21 +199,17 @@ func TestTornWriteRecovery(t *testing.T) {
 	if err := os.MkdirAll(filepath.Join(dir, tmpPrefix+"crashed"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, tmpPrefix+"crashed", "cpu.model.json"), []byte("partial"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, tmpPrefix+"crashed", "cpu.model.slab"), []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// Crash shape 2: v2 torn mid-write — both the model file and its
-	// slab truncated (either alone no longer corrupts the snapshot, by
-	// design: each is the other's fallback).
-	for _, name := range []string{"cpu.model.json", "cpu.model.slab"} {
-		path := filepath.Join(dir, "v0000000002", name)
-		fi, err := os.Stat(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Truncate(path, fi.Size()/2); err != nil {
-			t.Fatal(err)
-		}
+	// Crash shape 2: v2's model slab torn mid-write.
+	path := filepath.Join(dir, "v0000000002", "cpu.model.slab")
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, fi.Size()/2); err != nil {
+		t.Fatal(err)
 	}
 
 	// "Restart": reopen the store over the damaged directory.
@@ -288,19 +284,17 @@ func TestGCRespectsPinnedCurrent(t *testing.T) {
 	}
 }
 
-// TestChecksumTamperDetected flips one byte of a model file; the load
-// must fail with ErrCorrupt rather than serve a silently wrong model.
-// Slabs are disabled to pin the JSON verification path in isolation —
-// with a slab present the tampered JSON would (by design) be routed
-// around; slab_store_test.go covers that matrix.
+// TestChecksumTamperDetected flips one byte of a model slab; the
+// slab's section CRC must fail the load with ErrCorrupt rather than
+// serve a silently wrong model.
 func TestChecksumTamperDetected(t *testing.T) {
 	setup(t)
-	st := openStore(t, t.TempDir(), Options{Slab: SlabDisabled})
+	st := openStore(t, t.TempDir(), Options{})
 	man, err := st.Publish(Snapshot{Schema: "tpch", Models: map[plan.ResourceKind]*core.Estimator{plan.CPUTime: cpuEst}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(st.Dir(), "v0000000001", "cpu.model.json")
+	path := filepath.Join(st.Dir(), "v0000000001", "cpu.model.slab")
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

@@ -223,8 +223,10 @@ func (s *Server) acceptLoop() {
 		}
 		s.conns[c] = struct{}{}
 		s.mu.Unlock()
-		s.accepted.Add(1)
+		// Open before accepted: a reader that sees the accept also sees
+		// the connection counted as open until it closes.
 		s.open.Add(1)
+		s.accepted.Add(1)
 		s.wg.Add(2)
 		go c.readLoop()
 		go c.writeLoop()

@@ -339,13 +339,21 @@ func TestStreamClientsRaceHotSwap(t *testing.T) {
 func TestStreamIdleReap(t *testing.T) {
 	_, srv := newStream(t, serve.Options{}, stream.Options{IdleTimeout: 100 * time.Millisecond})
 	cl := dial(t, srv)
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Stats().Open != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("idle connection not reaped: %+v", srv.Stats())
+	// Dial returns before the server's accept loop has registered the
+	// connection, so Open == 0 alone could be read before the
+	// connection ever opened: wait for the accept first, then the reap.
+	waitStats := func(what string, done func(stream.Stats) bool) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for !done(srv.Stats()) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %+v", what, srv.Stats())
+			}
+			time.Sleep(5 * time.Millisecond)
 		}
-		time.Sleep(20 * time.Millisecond)
 	}
+	waitStats("connection never accepted", func(s stream.Stats) bool { return s.Accepted >= 1 })
+	waitStats("idle connection not reaped", func(s stream.Stats) bool { return s.Open == 0 })
 	// The client's next call must fail — the server hung up.
 	if _, err := cl.EstimateRaw(context.Background(), &stream.Request{
 		Resource: "cpu", Plan: planJSON(t, testPlans[0]),

@@ -371,8 +371,9 @@ func (s *EstimatorSet) EstimateQueriesAll(qs []*Query) []Resources {
 	return s.inner.PredictPlansAll(plans)
 }
 
-// Save writes the trained model set to w. The format embeds the compact
-// per-tree binary encoding of §7.3.
+// Save writes the trained model set to w as a model slab: the compiled
+// tree layout plus the metadata around it, the one format models are
+// saved, published and mmap'd in.
 func (e *Estimator) Save(w io.Writer) error { return e.inner.Save(w) }
 
 // SaveFile writes the model set to a file.
@@ -388,7 +389,8 @@ func (e *Estimator) SaveFile(path string) error {
 	return f.Close()
 }
 
-// Load reads a model set written by Save.
+// Load reads a model set written by Save. Files written by earlier
+// builds in the JSON model format are rejected with an error.
 func Load(r io.Reader) (*Estimator, error) {
 	inner, err := core.LoadEstimator(r)
 	if err != nil {
@@ -516,7 +518,7 @@ func DialStream(addr string) (*StreamClient, error) { return stream.Dial(addr) }
 //
 // The model store is the single durable source of truth for published
 // models: every publish — bootstrap training, a POST /models upload, a
-// feedback-loop retrain — persists one atomic snapshot (model files +
+// feedback-loop retrain — persists one atomic snapshot (model slabs +
 // checksummed JSON manifest) per schema, and the registry restores the
 // latest snapshots at boot and rolls back through snapshot history.
 
@@ -524,26 +526,10 @@ func DialStream(addr string) (*StreamClient, error) { return stream.Dial(addr) }
 type (
 	// ModelStore is the versioned on-disk model store.
 	ModelStore = store.Store
-	// ModelStoreOptions configures retention, slab policy and logging.
+	// ModelStoreOptions configures retention and logging.
 	ModelStoreOptions = store.Options
 	// ModelManifest describes one persisted snapshot.
 	ModelManifest = store.Manifest
-	// SlabMode selects the store's compiled-slab policy: publish-time
-	// slab siblings next to each model blob, restored zero-copy via
-	// mmap.
-	SlabMode = store.SlabMode
-)
-
-// Slab policy values for ModelStoreOptions.Slab.
-const (
-	// SlabExact (default): restore from the slab's exact float64 layout,
-	// bit-identical to the JSON decode path.
-	SlabExact = store.SlabExact
-	// SlabQuantized: prefer the slab's float32-quantized section when
-	// the publish-time accuracy gate admitted one.
-	SlabQuantized = store.SlabQuantized
-	// SlabDisabled: write no slabs, restore via JSON only.
-	SlabDisabled = store.SlabDisabled
 )
 
 // OpenModelStore opens (creating if needed) the model store rooted at

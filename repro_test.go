@@ -151,7 +151,7 @@ func TestSaveLoadFacade(t *testing.T) {
 	}
 	a := est.EstimatePlan(test[0].Plan)
 	b := loaded.EstimatePlan(test[0].Plan)
-	if math.Abs(a-b) > 0.05*(a+1) {
+	if math.Float64bits(a) != math.Float64bits(b) {
 		t.Fatalf("round trip drift: %v vs %v", a, b)
 	}
 }
@@ -162,14 +162,14 @@ func TestSaveLoadFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "model.json")
+	path := filepath.Join(t.TempDir(), "model.slab")
 	if err := est.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadFile(path); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing.json")); err == nil {
+	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing.slab")); err == nil {
 		t.Fatal("missing file accepted")
 	}
 }
