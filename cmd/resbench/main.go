@@ -28,8 +28,8 @@
 // keep-alive HTTP at several connection counts — same warm service,
 // same plans, one sequential client per connection — and writes
 // estimates/s, speedup and realized batch fill to -stream-out (default
-// BENCH_stream.json). -stream-speedup-min turns the top level's
-// speedup into a hard guard.
+// BENCH_stream.json). -stream-speedup-min turns every level's speedup
+// into a hard guard.
 //
 // accuracybench trains CPU and I/O models on one workload and replays a
 // held-out workload (disjoint seed) through the simulator, writing
@@ -40,10 +40,12 @@
 //
 // clusterbench stands up 1/2/4 in-process resserve replicas behind the
 // schema-affinity router and drives its streaming listener closed-loop
-// with per-replica offered load held constant (weak scaling), writing
-// estimates/s, p99 and the scaling efficiency vs one replica to
-// -cluster-out (default BENCH_cluster.json). -cluster-efficiency-min
-// turns the largest fleet's efficiency into a hard guard.
+// with per-replica offered load held constant (weak scaling), then the
+// replicas' own stream listeners with the same load, writing routed and
+// direct estimates/s, p99, the scaling efficiency vs one replica and
+// the router efficiency (routed over direct est/s) to -cluster-out
+// (default BENCH_cluster.json). -cluster-efficiency-min turns every
+// fleet's router efficiency into a hard guard.
 //
 // coldstartbench publishes one CPU+I/O snapshot and times restoring it
 // zero-copy over the mmap'd slabs, writing restore latency, per-replica
@@ -57,7 +59,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"repro/internal/experiments"
 )
@@ -85,7 +86,7 @@ func main() {
 		strDepth = flag.Int("stream-depth", 5, "streambench in-flight estimates per streaming connection (HTTP stays sequential)")
 		strConns = flag.String("stream-conns", "1,64,1024", "streambench comma-separated connection counts")
 		strOut   = flag.String("stream-out", "BENCH_stream.json", "streambench baseline output path (empty = stdout only)")
-		strMin   = flag.Float64("stream-speedup-min", 0, "fail when the highest-concurrency streaming speedup vs HTTP falls below this (<= 0 disables the guard)")
+		strMin   = flag.Float64("stream-speedup-min", 0, "fail when the streaming speedup vs HTTP at any connection count falls below this (<= 0 disables the guard)")
 		coldN    = flag.Int("coldstart-n", 96, "coldstartbench workload size (queries)")
 		coldIt   = flag.Int("coldstart-iters", 100, "coldstartbench model MART iterations")
 		coldRnd  = flag.Int("coldstart-rounds", 7, "coldstartbench restore rounds (median taken)")
@@ -95,11 +96,10 @@ func main() {
 		cluSch   = flag.Int("cluster-schemas", 4, "clusterbench schemas owned per replica")
 		cluConns = flag.Int("cluster-conns", 2, "clusterbench streaming connections per replica's worth of load")
 		cluDepth = flag.Int("cluster-depth", 4, "clusterbench in-flight estimates per connection")
-		cluReqs  = flag.Int("cluster-reqs", 200, "clusterbench estimates per worker in the timed run")
+		cluReqs  = flag.Int("cluster-reqs", 200, "clusterbench estimates per worker in each timed run (direct and routed alternate over 4 rounds)")
 		cluFlts  = flag.String("cluster-fleets", "1,2,4", "clusterbench comma-separated fleet sizes")
-		cluWait  = flag.Duration("cluster-max-wait", 4*time.Millisecond, "clusterbench replica micro-batcher coalescing bound")
 		cluOut   = flag.String("cluster-out", "BENCH_cluster.json", "clusterbench baseline output path (empty = stdout only)")
-		cluMin   = flag.Float64("cluster-efficiency-min", 0, "fail when the largest fleet's scaling efficiency vs 1 replica falls below this (<= 0 disables the guard)")
+		cluMin   = flag.Float64("cluster-efficiency-min", 0, "fail when any fleet's router efficiency (routed est/s over direct-to-replica est/s at equal load) falls below this (<= 0 disables the guard)")
 	)
 	flag.Parse()
 
@@ -291,11 +291,10 @@ func main() {
 			}
 			fmt.Fprintf(os.Stderr, "wrote streaming baseline to %s\n", *strOut)
 		}
-		if *strMin > 0 && len(sb.Levels) > 0 {
-			top := sb.Levels[len(sb.Levels)-1]
-			if top.Speedup < *strMin {
+		for _, lvl := range sb.Levels {
+			if *strMin > 0 && lvl.Speedup < *strMin {
 				fatal(fmt.Errorf("streaming speedup %.2fx at %d conns below the %.2fx guard",
-					top.Speedup, top.Conns, *strMin))
+					lvl.Speedup, lvl.Conns, *strMin))
 			}
 		}
 	}
@@ -337,15 +336,15 @@ func main() {
 			fleets = append(fleets, f)
 		}
 		fmt.Fprintln(os.Stderr, "running clusterbench (router + replica-fleet scaling)...")
-		cb, err := experiments.RunClusterBench(*cluN, *cluIt, *cluSch, *cluConns, *cluDepth, *cluReqs, fleets, *cluWait)
+		cb, err := experiments.RunClusterBench(*cluN, *cluIt, *cluSch, *cluConns, *cluDepth, *cluReqs, fleets)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("Replica scaling (%d plans, %d operators, %d schemas/replica, %d×%d workers/replica, replica max-wait %.0f µs):\n",
-			cb.Queries, cb.Operators, cb.SchemasPerReplica, cb.ConnsPerReplica, cb.PipelineDepth, cb.MaxWaitMicros)
+		fmt.Printf("Replica scaling (%d plans, %d operators, %d schemas/replica, %d×%d workers/replica):\n",
+			cb.Queries, cb.Operators, cb.SchemasPerReplica, cb.ConnsPerReplica, cb.PipelineDepth)
 		for _, f := range cb.Fleets {
-			fmt.Printf("  replicas=%-2d %9.0f est/s  %9.0f est/s/replica  eff %.2f  (p50 %.0f µs, p99 %.0f µs, spill %d, shed %d)\n",
-				f.Replicas, f.EstPerSec, f.PerReplicaPerSec, f.Efficiency,
+			fmt.Printf("  replicas=%-2d %9.0f est/s  %9.0f est/s/replica  eff %.2f  direct %9.0f est/s  router eff %.2f  (p50 %.0f µs, p99 %.0f µs, spill %d, shed %d)\n",
+				f.Replicas, f.EstPerSec, f.PerReplicaPerSec, f.Efficiency, f.DirectEstPerSec, f.RouterEfficiency,
 				f.P50Micros, f.P99Micros, f.Spillover, f.Shed)
 		}
 		if *cluOut != "" {
@@ -358,9 +357,9 @@ func main() {
 			}
 			fmt.Fprintf(os.Stderr, "wrote cluster baseline to %s\n", *cluOut)
 		}
-		if *cluMin > 0 && cb.EfficiencyAtMax < *cluMin {
-			fatal(fmt.Errorf("cluster scaling efficiency %.2f at %d replicas below the %.2f guard",
-				cb.EfficiencyAtMax, cb.Fleets[len(cb.Fleets)-1].Replicas, *cluMin))
+		if *cluMin > 0 && cb.MinRouterEfficiency < *cluMin {
+			fatal(fmt.Errorf("cluster router efficiency %.2f below the %.2f guard",
+				cb.MinRouterEfficiency, *cluMin))
 		}
 	}
 	if sel("coldstartbench") {

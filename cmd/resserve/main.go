@@ -83,7 +83,7 @@
 // the same worker pool and cache — responses byte-identical to
 // POST /estimate, at a fraction of the per-request overhead. See the
 // README's "Streaming protocol" section for the frame layout,
-// coalescing bounds and a client example.
+// how requests coalesce, and a client example.
 //
 // Observability: requests are stage-timed (decode, queue wait, cache
 // probe, predict, encode) into lock-free latency histograms and carry

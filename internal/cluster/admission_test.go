@@ -6,8 +6,10 @@ import (
 )
 
 func newBareRouter(opts Options) *Router {
+	o := opts.withDefaults()
 	return &Router{
-		opts:      opts.withDefaults(),
+		opts:      o,
+		logger:    o.Logger,
 		perClient: make(map[string]*atomic.Int64),
 	}
 }

@@ -384,7 +384,15 @@ func TestRouterKillReplicaDegradesGracefully(t *testing.T) {
 		postOK(t, rhs.URL, "/estimate", bodies[s])
 	}
 
-	fleet[1].kill()
+	// Kill the replica that owns w000, so at least one schema must
+	// spill: placement hashes the replicas' random test ports, and
+	// killing a fixed replica would leave it owning none of the eight
+	// schemas in about one run of 128.
+	victim := fleet[0]
+	if cluster.NewRing([]string{fleet[0].hs.URL, fleet[1].hs.URL}, 0).Pick("w000") == fleet[1].hs.URL {
+		victim = fleet[1]
+	}
+	victim.kill()
 	rt.PollNow()
 
 	for s, body := range bodies {

@@ -14,16 +14,22 @@ import (
 )
 
 // streamWriteTimeout bounds one outbound write burst on the router's
-// stream surface, mirroring the replica stream server's default.
-const streamWriteTimeout = 30 * time.Second
+// stream surface, and streamIdleTimeout reaps client connections that
+// send no frame for that long (idle or half-open peers), both
+// mirroring the replica stream server's defaults.
+const (
+	streamWriteTimeout = 30 * time.Second
+	streamIdleTimeout  = 5 * time.Minute
+)
 
 // streamProxy is the router's streaming listener: it speaks the same
 // framed protocol as a replica's stream server, but each estimate
 // frame is routed by schema and forwarded over the replica pools, so
 // a streaming client gets fleet routing without a protocol change.
 type streamProxy struct {
-	rt *Router
-	ln net.Listener
+	rt   *Router
+	ln   net.Listener
+	idle time.Duration
 
 	mu     sync.Mutex
 	conns  map[*proxyConn]struct{}
@@ -35,11 +41,17 @@ type streamProxy struct {
 // (host:port, empty host for all interfaces) and returns the bound
 // address.
 func (rt *Router) StartStream(addr string) (string, error) {
+	return rt.startStream(addr, streamIdleTimeout)
+}
+
+// startStream is StartStream with an explicit idle bound, so a test
+// can watch a reap without waiting minutes.
+func (rt *Router) startStream(addr string, idle time.Duration) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", err
 	}
-	sp := &streamProxy{rt: rt, ln: ln, conns: make(map[*proxyConn]struct{})}
+	sp := &streamProxy{rt: rt, ln: ln, idle: idle, conns: make(map[*proxyConn]struct{})}
 	rt.streamSrv = sp
 	sp.wg.Add(1)
 	go sp.acceptLoop()
@@ -134,7 +146,9 @@ func (c *proxyConn) shutdown() {
 func (c *proxyConn) readLoop() {
 	defer c.sp.wg.Done()
 	defer c.shutdown()
+	idle := stream.IdleDeadline{Conn: c.c, Timeout: c.sp.idle}
 	for {
+		idle.Arm()
 		f, err := stream.ReadFrame(c.br)
 		if err != nil {
 			if !errors.Is(err, io.EOF) {

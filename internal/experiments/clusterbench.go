@@ -1,14 +1,11 @@
 package experiments
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
 	"runtime"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -20,24 +17,25 @@ import (
 // The replica-scaling baseline behind cmd/resbench -exp clusterbench:
 // at each fleet size it stands up N in-process resserve replicas
 // (sharing one model registry, as a fleet restored from one store
-// snapshot would) behind a real router and drives the router's
-// streaming listener closed-loop, then reports estimates/s, p99 and
-// the scaling efficiency vs one replica into BENCH_cluster.json.
+// snapshot would) behind a real router and drives closed-loop load
+// both through the router's streaming listener and straight at the
+// replicas' own, writing both throughputs into BENCH_cluster.json.
 //
 // The protocol is weak scaling: per-replica offered load is held
 // constant (conns × depth workers pinned to schemas the ring assigns
-// to that replica), so fleet size N carries N× the clients and N× the
-// total requests of fleet size 1, and efficiency is
-// (throughput_N / N) / throughput_1. Schema-affinity routing is what
-// makes near-linear scaling possible at all here: each schema's
-// requests land on one replica's micro-batcher and prediction cache,
-// so replicas proceed independently with no cross-replica
-// coordination on the hot path. Replica service cycles are dominated
-// by the micro-batcher's coalescing wait (MaxWait), which is how a
-// single benchmark host can overlap N replicas' cycles honestly — the
-// knob is recorded in the output, and the router's decision counters
-// are too (spillover > 0 would mean affinity was not actually
-// measured).
+// to that replica), so every request is an affinity hit and fleet size
+// N carries N× the load of fleet size 1. Replicas batch without a
+// coalescing wait, so on one host they are CPU-bound and share its
+// cores: the scaling efficiency (throughput_N / N) / throughput_1
+// measures the host and is only reported. The guard checks the router
+// efficiency instead — routed est/s over direct-to-replica est/s at the
+// same fleet and load, the share of the replicas' throughput the
+// router hop keeps. The router's decision counters are recorded too
+// (spillover > 0 would mean affinity was not actually measured).
+
+// clusterRounds is how many direct/routed run pairs each fleet size
+// alternates through.
+const clusterRounds = 4
 
 // ClusterBenchFleet is one fleet size's measurement.
 type ClusterBenchFleet struct {
@@ -54,6 +52,11 @@ type ClusterBenchFleet struct {
 	// Efficiency is PerReplicaPerSec / the 1-replica EstPerSec: 1.0 is
 	// perfectly linear scaling.
 	Efficiency float64 `json:"efficiency"`
+	// DirectEstPerSec is the same workers' throughput against the
+	// replicas' stream listeners, bypassing the router;
+	// RouterEfficiency is EstPerSec / DirectEstPerSec.
+	DirectEstPerSec  float64 `json:"direct_est_per_sec"`
+	RouterEfficiency float64 `json:"router_efficiency"`
 	// Affinity/Spillover/Shed are the router's routing-decision
 	// counters for this run. Spillover and Shed should be 0 — anything
 	// else means the run measured overload behavior, not affinity
@@ -65,20 +68,19 @@ type ClusterBenchFleet struct {
 
 // ClusterBench is the serializable replica-scaling baseline.
 type ClusterBench struct {
-	Queries           int     `json:"queries"`
-	Operators         int     `json:"operators"`
-	Iterations        int     `json:"iterations"`
-	GoMaxProcs        int     `json:"gomaxprocs"`
-	SchemasPerReplica int     `json:"schemas_per_replica"`
-	ConnsPerReplica   int     `json:"conns_per_replica"`
-	PipelineDepth     int     `json:"pipeline_depth"`
-	RequestsPerWorker int     `json:"requests_per_worker"`
-	MaxWaitMicros     float64 `json:"replica_max_wait_us"`
+	Queries           int `json:"queries"`
+	Operators         int `json:"operators"`
+	Iterations        int `json:"iterations"`
+	GoMaxProcs        int `json:"gomaxprocs"`
+	SchemasPerReplica int `json:"schemas_per_replica"`
+	ConnsPerReplica   int `json:"conns_per_replica"`
+	PipelineDepth     int `json:"pipeline_depth"`
+	RequestsPerWorker int `json:"requests_per_worker"`
 
 	Fleets []ClusterBenchFleet `json:"fleets"`
-	// EfficiencyAtMax is the largest fleet's efficiency — the number
-	// the -cluster-efficiency-min guard checks.
-	EfficiencyAtMax float64 `json:"efficiency_at_max"`
+	// MinRouterEfficiency is the lowest RouterEfficiency across fleets
+	// — the number the -cluster-efficiency-min guard checks.
+	MinRouterEfficiency float64 `json:"min_router_efficiency"`
 }
 
 // clusterReplica is one in-process replica: service, stream listener
@@ -96,9 +98,9 @@ func (r *clusterReplica) close() {
 	r.svc.Close()
 }
 
-func startClusterReplica(reg *serve.Registry, maxWait time.Duration) (*clusterReplica, error) {
+func startClusterReplica(reg *serve.Registry) (*clusterReplica, error) {
 	svc := serve.New(serve.Options{Registry: reg, Workers: 2, DisableTelemetry: true})
-	ss, err := stream.Start("127.0.0.1:0", stream.Options{Service: svc, MaxWait: maxWait})
+	ss, err := stream.Start("127.0.0.1:0", stream.Options{Service: svc})
 	if err != nil {
 		svc.Close()
 		return nil, err
@@ -152,9 +154,8 @@ func assignSchemas(addrs []string, perReplica int) [][]string {
 // model's MART iterations, schemasPer the schemas owned per replica,
 // conns the streaming connections per replica's worth of load, depth
 // the in-flight estimates per connection, reqs the estimates each
-// worker issues in the timed run, and maxWait the replicas'
-// micro-batcher coalescing bound.
-func RunClusterBench(n, iters, schemasPer, conns, depth, reqs int, fleets []int, maxWait time.Duration) (*ClusterBench, error) {
+// worker issues in each timed run.
+func RunClusterBench(n, iters, schemasPer, conns, depth, reqs int, fleets []int) (*ClusterBench, error) {
 	if schemasPer <= 0 {
 		schemasPer = 4
 	}
@@ -166,9 +167,6 @@ func RunClusterBench(n, iters, schemasPer, conns, depth, reqs int, fleets []int,
 	}
 	if reqs <= 0 {
 		reqs = 200
-	}
-	if maxWait <= 0 {
-		maxWait = 4 * time.Millisecond
 	}
 	est, plans, err := serveBenchWorkload(n, iters)
 	if err != nil {
@@ -182,7 +180,6 @@ func RunClusterBench(n, iters, schemasPer, conns, depth, reqs int, fleets []int,
 		ConnsPerReplica:   conns,
 		PipelineDepth:     depth,
 		RequestsPerWorker: reqs,
-		MaxWaitMicros:     float64(maxWait.Microseconds()),
 	}
 	for _, p := range plans {
 		res.Operators += len(p.Nodes())
@@ -202,7 +199,7 @@ func RunClusterBench(n, iters, schemasPer, conns, depth, reqs int, fleets []int,
 	reg.Publish("", est)
 
 	for _, size := range fleets {
-		fleet, err := runClusterFleet(reg, encoded, size, schemasPer, conns, depth, reqs, maxWait)
+		fleet, err := runClusterFleet(reg, encoded, size, schemasPer, conns, depth, reqs)
 		if err != nil {
 			return nil, fmt.Errorf("clusterbench: fleet of %d: %w", size, err)
 		}
@@ -213,15 +210,16 @@ func RunClusterBench(n, iters, schemasPer, conns, depth, reqs int, fleets []int,
 	// fleet's per-replica throughput.
 	if len(res.Fleets) > 0 {
 		base := res.Fleets[0].PerReplicaPerSec
+		res.MinRouterEfficiency = res.Fleets[0].RouterEfficiency
 		for i := range res.Fleets {
 			res.Fleets[i].Efficiency = res.Fleets[i].PerReplicaPerSec / base
+			res.MinRouterEfficiency = min(res.MinRouterEfficiency, res.Fleets[i].RouterEfficiency)
 		}
-		res.EfficiencyAtMax = res.Fleets[len(res.Fleets)-1].Efficiency
 	}
 	return res, nil
 }
 
-func runClusterFleet(reg *serve.Registry, encoded []json.RawMessage, size, schemasPer, conns, depth, reqs int, maxWait time.Duration) (*ClusterBenchFleet, error) {
+func runClusterFleet(reg *serve.Registry, encoded []json.RawMessage, size, schemasPer, conns, depth, reqs int) (*ClusterBenchFleet, error) {
 	replicas := make([]*clusterReplica, 0, size)
 	defer func() {
 		for _, r := range replicas {
@@ -230,7 +228,7 @@ func runClusterFleet(reg *serve.Registry, encoded []json.RawMessage, size, schem
 	}()
 	addrs := make([]string, 0, size)
 	for i := 0; i < size; i++ {
-		r, err := startClusterReplica(reg, maxWait)
+		r, err := startClusterReplica(reg)
 		if err != nil {
 			return nil, err
 		}
@@ -259,102 +257,79 @@ func runClusterFleet(reg *serve.Registry, encoded []json.RawMessage, size, schem
 	// the schemas the ring assigns to their replica, so every request
 	// is an affinity hit and replicas proceed independently.
 	assigned := assignSchemas(addrs, schemasPer)
-	type workload struct{ bodies [][]byte }
-	var workers []workload
+	var bodies [][][]byte
 	for ri := range replicas {
 		for c := 0; c < conns*depth; c++ {
 			schema := assigned[ri][c%len(assigned[ri])]
-			w := workload{bodies: make([][]byte, len(encoded))}
+			w := make([][]byte, len(encoded))
 			for i, enc := range encoded {
-				b, err := json.Marshal(&stream.Request{Schema: schema, Resource: "cpu", Plan: enc})
-				if err != nil {
+				if w[i], err = json.Marshal(&stream.Request{Schema: schema, Resource: "cpu", Plan: enc}); err != nil {
 					return nil, err
 				}
-				w.bodies[i] = b
 			}
-			workers = append(workers, w)
+			bodies = append(bodies, w)
 		}
 	}
 
-	// One streaming connection to the router per conns slot, shared by
-	// depth workers — the same shape streambench drives a single
-	// replica with.
-	clients := make([]*stream.Client, size*conns)
-	for i := range clients {
-		if clients[i], err = stream.Dial(streamAddr); err != nil {
+	// One streaming connection per conns slot, shared by depth workers
+	// — the same shape streambench drives a single replica with. Worker
+	// w uses connection w/depth, which belongs to replica
+	// w/(conns×depth) in both sets: the routed set dials the router,
+	// the direct set that replica's own stream listener.
+	routed := make([]*stream.Client, size*conns)
+	direct := make([]*stream.Client, size*conns)
+	for i := range routed {
+		if routed[i], err = stream.Dial(streamAddr); err != nil {
 			return nil, err
 		}
-	}
-	defer func() {
-		for _, cl := range clients {
-			cl.Close()
-		}
-	}()
-
-	run := func(perWorker int, record bool) ([]time.Duration, error) {
-		var wg sync.WaitGroup
-		errs := make(chan error, len(workers))
-		lat := make([][]time.Duration, len(workers))
-		for wi := range workers {
-			wg.Add(1)
-			go func(wi int) {
-				defer wg.Done()
-				cl := clients[wi/depth]
-				bodies := workers[wi].bodies
-				for r := 0; r < perWorker; r++ {
-					t0 := time.Now()
-					if _, err := cl.EstimateBytes(context.Background(), bodies[(wi+r)%len(bodies)]); err != nil {
-						errs <- err
-						return
-					}
-					if record {
-						lat[wi] = append(lat[wi], time.Since(t0))
-					}
-				}
-			}(wi)
-		}
-		wg.Wait()
-		select {
-		case err := <-errs:
+		defer routed[i].Close()
+		if direct[i], err = stream.Dial(replicas[i/conns].ss.Addr()); err != nil {
 			return nil, err
-		default:
 		}
-		var flat []time.Duration
-		for _, l := range lat {
-			flat = append(flat, l...)
-		}
-		return flat, nil
+		defer direct[i].Close()
 	}
 
-	// Warm pass: every (schema, plan) body once, so the timed run
-	// measures each replica's steady state (prediction caches hot)
+	// Warm pass: every (schema, plan) body once, so the timed runs
+	// measure each replica's steady state (prediction caches hot)
 	// rather than first-touch model evaluation.
-	if _, err := run(len(encoded), false); err != nil {
+	if _, _, err := driveStream(routed, depth, bodies, len(encoded)); err != nil {
 		return nil, err
 	}
 
-	start := time.Now()
-	lat, err := run(reqs, true)
-	if err != nil {
-		return nil, err
+	// Direct and routed runs alternate over several rounds so both
+	// sides see the same shared-host conditions; each throughput is
+	// over its own summed time.
+	var lat []time.Duration
+	var dur, directDur time.Duration
+	for r := 0; r < clusterRounds; r++ {
+		_, d, err := driveStream(direct, depth, bodies, reqs)
+		if err != nil {
+			return nil, err
+		}
+		directDur += d
+		l, d, err := driveStream(routed, depth, bodies, reqs)
+		if err != nil {
+			return nil, err
+		}
+		dur += d
+		lat = append(lat, l...)
 	}
-	dur := time.Since(start)
+	total := clusterRounds * len(bodies) * reqs
 
-	total := len(workers) * reqs
 	m := rt.Metrics()
+	mode := summarizeMode(lat)
 	fleet := &ClusterBenchFleet{
-		Replicas:  size,
-		Requests:  total,
-		EstPerSec: float64(total) / dur.Seconds(),
-		Affinity:  m.Decisions.Affinity,
-		Spillover: m.Decisions.Spillover,
-		Shed:      m.Decisions.Shed,
+		Replicas:        size,
+		Requests:        total,
+		EstPerSec:       float64(total) / dur.Seconds(),
+		DirectEstPerSec: float64(total) / directDur.Seconds(),
+		P50Micros:       mode.P50Micros,
+		P99Micros:       mode.P99Micros,
+		Affinity:        m.Decisions.Affinity,
+		Spillover:       m.Decisions.Spillover,
+		Shed:            m.Decisions.Shed,
 	}
 	fleet.PerReplicaPerSec = fleet.EstPerSec / float64(size)
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	if len(lat) > 0 {
-		fleet.P50Micros = float64(lat[len(lat)/2].Microseconds())
-		fleet.P99Micros = float64(lat[len(lat)*99/100].Microseconds())
-	}
+	fleet.RouterEfficiency = fleet.EstPerSec / fleet.DirectEstPerSec
 	return fleet, nil
 }

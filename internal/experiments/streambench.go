@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -26,10 +27,12 @@ import (
 // pipeline of requests in flight per connection (depth); the HTTP side
 // is sequential per connection because HTTP/1.1 offers no safe
 // pipelining — that asymmetry is the transport's feature, not a bench
-// artifact. The speedup column is the transport's whole argument: at
-// high concurrency the coalescer turns N parked requests into N/fill
-// pool dispatches and the writers coalesce frames into shared
-// syscalls, so throughput holds where per-request HTTP dispatch
+// artifact. The speedup column is the transport's whole argument, and
+// -stream-speedup-min checks it at every level: at one connection the
+// batcher adds no wait (a request dispatches as soon as a slot is
+// free), and at high concurrency the backlog turns N parked requests
+// into N/fill pool dispatches while the writers coalesce frames into
+// shared syscalls, so throughput holds where per-request HTTP dispatch
 // saturates.
 
 // StreamBenchLevel is one concurrency level's comparison.
@@ -42,7 +45,7 @@ type StreamBenchLevel struct {
 	// Speedup is StreamPerSec / HTTPPerSec.
 	Speedup float64 `json:"speedup"`
 	// StreamP50Micros/StreamP99Micros summarize per-request streaming
-	// latency; under coalescing this includes the micro-batcher wait.
+	// latency, including any wait for a free dispatch slot.
 	StreamP50Micros float64 `json:"stream_p50_us"`
 	StreamP99Micros float64 `json:"stream_p99_us"`
 	// Dispatches is how many coalesced micro-batches the streaming run
@@ -151,42 +154,22 @@ func RunStreamBench(n, iters, reqsPerConn, depth int, conns []int) (*StreamBench
 		// sit across the coalescer, which is how the transport is meant
 		// to be driven.
 		before := ss.Stats()
-		lat := make([][]time.Duration, c*depth)
 		clients := make([]*stream.Client, c)
 		for i := range clients {
 			if clients[i], err = stream.Dial(ss.Addr()); err != nil {
 				return nil, err
 			}
 		}
-		start := time.Now()
-		var wg sync.WaitGroup
-		errs := make(chan error, c*depth)
-		for i := 0; i < c; i++ {
-			for d := 0; d < depth; d++ {
-				wg.Add(1)
-				go func(i, slot int) {
-					defer wg.Done()
-					cl := clients[i]
-					for r := 0; r < reqsPerConn/depth; r++ {
-						t0 := time.Now()
-						if _, err := cl.EstimateBytes(context.Background(), streamBodies[(slot+r)%len(streamBodies)]); err != nil {
-							errs <- err
-							return
-						}
-						lat[slot] = append(lat[slot], time.Since(t0))
-					}
-				}(i, i*depth+d)
-			}
+		bodies := make([][][]byte, c*depth)
+		for i := range bodies {
+			bodies[i] = streamBodies
 		}
-		wg.Wait()
-		streamDur := time.Since(start)
+		lat, streamDur, err := driveStream(clients, depth, bodies, reqsPerConn/depth)
 		for _, cl := range clients {
 			cl.Close()
 		}
-		select {
-		case err := <-errs:
+		if err != nil {
 			return nil, fmt.Errorf("streambench: %d conns: %w", c, err)
-		default:
 		}
 		after := ss.Stats()
 		total := c * reqsPerConn
@@ -195,11 +178,7 @@ func RunStreamBench(n, iters, reqsPerConn, depth int, conns []int) (*StreamBench
 		if lvl.Dispatches > 0 {
 			lvl.AvgBatchFill = float64(after.Requests-before.Requests) / float64(lvl.Dispatches)
 		}
-		var flat []time.Duration
-		for _, l := range lat {
-			flat = append(flat, l...)
-		}
-		mode := summarizeMode(flat)
+		mode := summarizeMode(lat)
 		lvl.StreamP50Micros, lvl.StreamP99Micros = mode.P50Micros, mode.P99Micros
 
 		// HTTP: the same concurrency and request count, one sequential
@@ -208,7 +187,9 @@ func RunStreamBench(n, iters, reqsPerConn, depth int, conns []int) (*StreamBench
 			MaxIdleConns:        c + 8,
 			MaxIdleConnsPerHost: c + 8,
 		}}
-		start = time.Now()
+		var wg sync.WaitGroup
+		errs := make(chan error, c)
+		start := time.Now()
 		for i := 0; i < c; i++ {
 			wg.Add(1)
 			go func(i int) {
@@ -248,4 +229,38 @@ func RunStreamBench(n, iters, reqsPerConn, depth int, conns []int) (*StreamBench
 		res.Levels = append(res.Levels, lvl)
 	}
 	return res, nil
+}
+
+// driveStream runs len(bodies) closed-loop workers: worker w sends
+// perWorker estimates over clients[w/depth], cycling through bodies[w]
+// from offset w. It returns every request's latency and the wall-clock
+// time of the whole run.
+func driveStream(clients []*stream.Client, depth int, bodies [][][]byte, perWorker int) ([]time.Duration, time.Duration, error) {
+	var wg sync.WaitGroup
+	errs := make(chan error, len(bodies))
+	lat := make([][]time.Duration, len(bodies))
+	start := time.Now()
+	for w := range bodies {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			cl, b := clients[w/depth], bodies[w]
+			for r := 0; r < perWorker; r++ {
+				t0 := time.Now()
+				if _, err := cl.EstimateBytes(context.Background(), b[(w+r)%len(b)]); err != nil {
+					errs <- err
+					return
+				}
+				lat[w] = append(lat[w], time.Since(t0))
+			}
+		}(w)
+	}
+	wg.Wait()
+	dur := time.Since(start)
+	select {
+	case err := <-errs:
+		return nil, 0, err
+	default:
+	}
+	return slices.Concat(lat...), dur, nil
 }

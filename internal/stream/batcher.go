@@ -2,6 +2,7 @@ package stream
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -12,20 +13,25 @@ import (
 
 // The micro-batcher. Requests that are in flight at the same instant —
 // regardless of which connection carried them — are collected into
-// per-route groups and dispatched as one EstimateStream call once the
-// group fills (MaxBatch plans) or ages out (MaxWait). The wait bound
-// is the transport's whole latency bargain: a few hundred
-// microseconds of added queueing buys every coalesced request the
-// batch path's amortized extraction and tree walks, which under load
-// repays the wait many times over in queue time not spent.
+// per-route groups and dispatched as one EstimateStream call. Batching
+// is natural, not timed: the first request of a group starts its
+// flusher, and the flusher takes the whole group as soon as a dispatch
+// slot is free. An idle server therefore answers a lone request with
+// no added wait, and a busy one batches exactly as much as the backlog
+// offers.
 //
-// Dispatches themselves run through a slot semaphore sized to the
-// service's worker count. That is the accumulation backpressure: when
-// every slot is busy, a timer-expired group is not torn off into a
-// tiny batch queued behind a saturated pool — it stays in the map,
-// keeps absorbing arrivals up to MaxBatch, and leaves only when a slot
-// frees. Under sustained load the realized fill converges on MaxBatch
-// instead of on (arrival rate × MaxWait).
+// Dispatches run through a slot semaphore sized to the service's
+// worker count. That is the accumulation mechanism: while every slot
+// is busy, a group stays in the map, keeps absorbing arrivals up to
+// maxBatch plans, and leaves only when a slot frees. Under sustained
+// load the realized fill sizes itself from the arrival rate × the
+// service time of the dispatches ahead of it.
+
+// maxBatch bounds a coalesced dispatch's plan count: past 64 the batch
+// path's per-plan amortization has flattened and a bigger batch only
+// adds queueing for its first member. A full group leaves the map so
+// the next arrival starts a fresh one.
+const maxBatch = 64
 
 // groupKey routes a request to its coalescing group. Requests can only
 // share a dispatch when they share everything the batch entry point
@@ -44,34 +50,13 @@ type pending struct {
 	enq  time.Time
 }
 
-// group accumulates pending requests for one key until flush.
+// group accumulates pending requests for one key until its flusher
+// takes it.
 type group struct {
 	key     groupKey
 	kinds   []plan.ResourceKind
 	members []pending
-	timer   *time.Timer
-	// holds counts MaxWait extensions granted by the adaptive hold
-	// (see flush); bounded so the hold can never stall a request past
-	// (1+maxHolds)×MaxWait. lastLen is the member count at the last
-	// timer fire — growth since then is the hold's evidence that the
-	// arrival stream is still flowing.
-	holds   int
-	lastLen int
 }
-
-// maxHolds bounds the adaptive hold: an under-filled group still
-// receiving arrivals re-arms its MaxWait timer at most this many
-// times, so the total coalescing wait stays ≤ 32×MaxWait (8ms at the
-// default) — well below the queueing delay the backlog driving those
-// holds implies at that load. holdTarget (fraction of MaxBatch,
-// expressed as numerator/denominator) is where holding stops paying:
-// past ~3/4 full the batch path's per-plan amortization has flattened,
-// and the tail of a fill is better spent starting the next group.
-const (
-	maxHolds        = 31
-	holdTargetNum   = 3
-	holdTargetDenom = 4
-)
 
 type batcher struct {
 	srv *Server
@@ -84,10 +69,10 @@ type batcher struct {
 	groups map[groupKey]*group
 }
 
-func newBatcher(srv *Server, maxDispatches int) *batcher {
+func newBatcher(srv *Server, slots int) *batcher {
 	return &batcher{
 		srv:    srv,
-		slots:  make(chan struct{}, maxDispatches),
+		slots:  make(chan struct{}, slots),
 		groups: make(map[groupKey]*group),
 	}
 }
@@ -104,77 +89,46 @@ func canonicalResources(kinds []plan.ResourceKind) string {
 }
 
 // enqueue adds one decoded request to its coalescing group. The first
-// member arms the group's MaxWait timer; the MaxBatch-th dispatches
-// immediately. Never blocks on the pool — dispatch runs on its own
-// goroutine so the caller (a connection's read loop) keeps draining
-// frames, which is what keeps cross-connection batches full.
+// member starts the group's flusher; the maxBatch-th closes the group
+// to further arrivals. Never blocks on the pool — the flusher waits
+// for a slot on its own goroutine so the caller (a connection's read
+// loop) keeps draining frames, which is what keeps batches full under
+// load.
 func (b *batcher) enqueue(conn *serverConn, seq uint64, kinds []plan.ResourceKind, p *plan.Plan, timeoutMS int, schema string) {
 	key := groupKey{schema: schema, resources: canonicalResources(kinds), timeoutMS: timeoutMS}
 	b.mu.Lock()
 	g, ok := b.groups[key]
 	if !ok {
-		g = &group{key: key, kinds: kinds, members: make([]pending, 0, b.srv.opts.MaxBatch)}
+		g = &group{key: key, kinds: kinds, members: make([]pending, 0, maxBatch)}
 		b.groups[key] = g
-		g.timer = time.AfterFunc(b.srv.opts.MaxWait, func() { b.flush(g) })
+		go b.flush(g)
 	}
 	g.members = append(g.members, pending{conn: conn, seq: seq, plan: p, enq: time.Now()})
-	if len(g.members) >= b.srv.opts.MaxBatch {
+	if len(g.members) >= maxBatch {
 		delete(b.groups, key)
-		g.timer.Stop()
-		b.mu.Unlock()
-		go func() {
-			b.slots <- struct{}{}
-			b.dispatch(g)
-		}()
-		return
 	}
 	b.mu.Unlock()
 }
 
-// flush is the group's timer path: the group is now old enough to
-// dispatch, but it leaves the map only once a dispatch slot is free —
-// until then it stays put and keeps coalescing arrivals. Pointer
-// identity guards the race with a size-bound dispatch: if the group
-// already left the map (and a same-key successor may sit in its
-// place), this goroutine finds someone else's group and must not touch
-// it.
+// flush is a group's flusher: it waits for a dispatch slot, then takes
+// the group out of the map (unless it already left full) and
+// dispatches it. The group keeps absorbing arrivals while the flusher
+// waits.
+//
+// After the slot is won the flusher yields once before cutting the
+// group. Read loops that already hold a decoded frame for this route
+// are runnable at that instant, and the yield lets them land in the
+// group instead of opening the next one; without it a freed slot
+// tears the group off a few requests early, and at high connection
+// counts fill collapses into many small dispatches. On an idle server
+// nothing else is runnable and the yield returns at once.
 func (b *batcher) flush(g *group) {
+	b.slots <- struct{}{}
+	runtime.Gosched()
 	b.mu.Lock()
-	if b.groups[g.key] != g {
-		b.mu.Unlock()
-		return
+	if b.groups[g.key] == g {
+		delete(b.groups, g.key)
 	}
-	// Adaptive hold: an under-filled group that is still actively
-	// growing re-arms instead of dispatching tiny. Without this, a
-	// saturated server settles into a bad equilibrium — every MaxWait
-	// it tears off whatever trickled in (arrival rate × MaxWait ≈ a
-	// handful), pays full per-dispatch overhead on each sliver, and the
-	// wasted overhead is precisely what keeps the arrival trickle slow.
-	// The signal is local and self-clocking: ≥2 new members since the
-	// last fire proves an arrival stream worth waiting for, so holds
-	// continue exactly as long as the stream does. A lone request can
-	// pay at most one extra MaxWait (its group's first fire sees growth
-	// 1 and dispatches).
-	grew := len(g.members) - g.lastLen
-	g.lastLen = len(g.members)
-	if g.holds < maxHolds && len(g.members) < b.srv.opts.MaxBatch*holdTargetNum/holdTargetDenom && grew >= 2 {
-		g.holds++
-		b.srv.holds.Add(1)
-		g.timer.Reset(b.srv.opts.MaxWait)
-		b.mu.Unlock()
-		return
-	}
-	b.mu.Unlock()
-	b.slots <- struct{}{} // group keeps absorbing arrivals while we wait
-	b.mu.Lock()
-	if b.groups[g.key] != g {
-		// Filled to MaxBatch while waiting; the enqueue path owns it now
-		// (with its own slot claim).
-		b.mu.Unlock()
-		<-b.slots
-		return
-	}
-	delete(b.groups, g.key)
 	b.mu.Unlock()
 	b.dispatch(g)
 }
@@ -188,7 +142,6 @@ func (b *batcher) dispatch(g *group) {
 	wait := time.Since(g.members[0].enq)
 	srv.dispatches.Add(1)
 	srv.batchFill.Observe(len(g.members))
-	srv.coalesceWait.Observe(wait)
 
 	plans := make([]*plan.Plan, len(g.members))
 	for i, m := range g.members {

@@ -19,23 +19,9 @@ import (
 
 // Options configures the streaming listener.
 type Options struct {
-	// Service handles the coalesced dispatches. Required.
+	// Service handles the coalesced dispatches; its worker count bounds
+	// how many dispatches run at once. Required.
 	Service *serve.Service
-	// MaxBatch bounds a coalesced dispatch's plan count. 0 selects 64 —
-	// past that the batch path's per-plan amortization has flattened
-	// and a bigger batch only adds queueing for its first member.
-	MaxBatch int
-	// MaxWait bounds how long the first request of a group waits for
-	// company before dispatching alone. 0 selects 250µs. This is the
-	// transport's latency floor under light load and its throughput
-	// lever under heavy load.
-	MaxWait time.Duration
-	// MaxDispatches caps how many coalesced dispatches may be inside
-	// the service at once. 0 selects the service's worker count. While
-	// every slot is busy, timer-expired groups stay in the batcher and
-	// keep absorbing arrivals (up to MaxBatch) instead of queueing tiny
-	// batches behind a saturated pool.
-	MaxDispatches int
 	// IdleTimeout reaps connections with no inbound frame (default 5m);
 	// the reap lands between 1× and 1.5× the bound (the deadline is
 	// re-armed lazily, not per frame). Streams are long-lived by
@@ -52,12 +38,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 64
-	}
-	if o.MaxWait <= 0 {
-		o.MaxWait = 250 * time.Microsecond
-	}
 	if o.IdleTimeout <= 0 {
 		o.IdleTimeout = 5 * time.Minute
 	}
@@ -82,9 +62,10 @@ type Stats struct {
 	Responses uint64 `json:"responses"`
 	Errors    uint64 `json:"errors"`
 	// Dispatches counts coalesced micro-batches sent through the pool;
-	// Requests/Dispatches is the realized average batch fill. Holds
-	// counts MaxWait extensions granted to under-filled groups under
-	// backlog (the adaptive coalescing hold).
+	// Requests/Dispatches is the realized average batch fill. Holds is
+	// always 0: the batcher never holds a group back (dispatch waits
+	// only for a free slot). The field stays for readers of the
+	// snapshot.
 	Dispatches uint64 `json:"dispatches"`
 	Holds      uint64 `json:"holds"`
 }
@@ -107,10 +88,8 @@ type Server struct {
 	responses  atomic.Uint64
 	sendErrors atomic.Uint64
 	dispatches atomic.Uint64
-	holds      atomic.Uint64
 
-	batchFill    obs.IntHistogram
-	coalesceWait obs.Histogram
+	batchFill obs.IntHistogram
 }
 
 // Start binds addr and serves streaming connections in the background
@@ -125,13 +104,7 @@ func Start(addr string, opts Options) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{opts: opts.withDefaults(), ln: ln, conns: make(map[*serverConn]struct{})}
-	maxDispatches := s.opts.MaxDispatches
-	if maxDispatches <= 0 {
-		if maxDispatches = opts.Service.Workers(); maxDispatches <= 0 {
-			maxDispatches = 1
-		}
-	}
-	s.batcher = newBatcher(s, maxDispatches)
+	s.batcher = newBatcher(s, max(opts.Service.Workers(), 1))
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -149,7 +122,6 @@ func (s *Server) Stats() Stats {
 		Responses:  s.responses.Load(),
 		Errors:     s.sendErrors.Load(),
 		Dispatches: s.dispatches.Load(),
-		Holds:      s.holds.Load(),
 	}
 }
 
@@ -172,9 +144,6 @@ func (s *Server) Collector() obs.Collector {
 			float64(s.dispatches.Load()))
 		fill := s.batchFill.Snapshot()
 		e.IntHistogram("resserve_stream_batch_fill", "Plans per coalesced dispatch.", "", &fill)
-		wait := s.coalesceWait.Snapshot()
-		e.Summary("resserve_stream_coalesce_wait_seconds",
-			"Time a dispatch's oldest request waited in the micro-batcher.", "", &wait)
 	}
 }
 
@@ -260,18 +229,9 @@ func (c *serverConn) shutdown() {
 func (c *serverConn) readLoop() {
 	defer c.srv.wg.Done()
 	defer c.shutdown()
-	// The idle deadline is re-armed lazily: resetting it on every frame
-	// would cost a runtime timer update per request, and the reap only
-	// needs IdleTimeout-ish precision. Arming 1.5× out and re-arming
-	// once the previous arm is half-stale guarantees a connection is
-	// never reaped under IdleTimeout of idleness and always reaped by
-	// 1.5× it.
-	var armed time.Time
+	idle := IdleDeadline{Conn: c.c, Timeout: c.srv.opts.IdleTimeout}
 	for {
-		if now := time.Now(); now.Sub(armed) > c.srv.opts.IdleTimeout/2 {
-			armed = now
-			_ = c.c.SetReadDeadline(now.Add(c.srv.opts.IdleTimeout * 3 / 2))
-		}
+		idle.Arm()
 		f, err := ReadFrame(c.br)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !routineDisconnect(err) {
@@ -406,6 +366,28 @@ func (c *serverConn) writeLoop() {
 		case <-c.done:
 			return
 		}
+	}
+}
+
+// IdleDeadline reaps a framed connection that sends nothing for
+// Timeout. Call Arm before each frame read. The read deadline is
+// re-armed lazily: resetting it on every frame would cost a runtime
+// timer update per request, and the reap only needs Timeout-ish
+// precision. Arming 1.5× out and re-arming once the previous arm is
+// half-stale guarantees a connection is never reaped under Timeout of
+// idleness and always reaped by 1.5× it. Both the replica's stream
+// server and the router's stream listener use it.
+type IdleDeadline struct {
+	Conn    net.Conn
+	Timeout time.Duration
+	armed   time.Time
+}
+
+// Arm pushes the read deadline out if the previous arm is half-stale.
+func (d *IdleDeadline) Arm() {
+	if now := time.Now(); now.Sub(d.armed) > d.Timeout/2 {
+		d.armed = now
+		_ = d.Conn.SetReadDeadline(now.Add(d.Timeout * 3 / 2))
 	}
 }
 

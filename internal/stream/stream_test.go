@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/serve"
 	"repro/internal/stream"
@@ -242,9 +243,11 @@ func TestStreamUnknownSchema(t *testing.T) {
 
 // TestStreamCoalescesAcrossConnections pins the tentpole behavior:
 // concurrent single estimates from many connections dispatch in fewer,
-// fuller batches.
+// fuller batches. There is no coalescing wait, so the batches come
+// from backlog: one worker means one dispatch slot, and arrivals that
+// land while it is busy join the next group.
 func TestStreamCoalescesAcrossConnections(t *testing.T) {
-	_, srv := newStream(t, serve.Options{}, stream.Options{MaxWait: 2 * time.Millisecond})
+	_, srv := newStream(t, serve.Options{Workers: 1}, stream.Options{})
 	const conns, perConn = 16, 10
 	var wg sync.WaitGroup
 	start := make(chan struct{})
@@ -282,6 +285,35 @@ func TestStreamCoalescesAcrossConnections(t *testing.T) {
 	}
 	t.Logf("coalescing: %d requests in %d dispatches (avg fill %.1f)",
 		st.Requests, st.Dispatches, float64(st.Requests)/float64(st.Dispatches))
+}
+
+// TestStreamLoneRequestNotHeld: a single sequential client is never
+// held back waiting for company — each request dispatches as soon as
+// it is decoded, so the coalesce-wait stage (recorded by the service
+// for the streaming endpoint) stays at goroutine-handoff scale. The
+// bound is the coalescing wait earlier batchers armed per group.
+func TestStreamLoneRequestNotHeld(t *testing.T) {
+	svc, srv := newStream(t, serve.Options{}, stream.Options{})
+	cl := dial(t, srv)
+	const n = 50
+	for i := 0; i < n; i++ {
+		if _, err := cl.EstimateRaw(context.Background(), &stream.Request{
+			Resource: "cpu", Plan: planJSON(t, testPlans[i%len(testPlans)]),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wait := svc.StageLatencies("estimate_stream", obs.StageCoalesce)
+	if wait.Count != n {
+		t.Fatalf("coalesce-wait samples = %d, want %d", wait.Count, n)
+	}
+	if st := srv.Stats(); st.Dispatches != n {
+		t.Fatalf("dispatches = %d for %d sequential requests", st.Dispatches, n)
+	}
+	if wait.P50 >= 250*time.Microsecond {
+		t.Fatalf("lone requests held: coalesce wait p50 %v (p90 %v, max %v)", wait.P50, wait.P90, wait.Max)
+	}
+	t.Logf("coalesce wait: p50 %v, p90 %v, max %v", wait.P50, wait.P90, wait.Max)
 }
 
 // TestStreamClientsRaceHotSwap races streaming clients against model

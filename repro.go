@@ -480,14 +480,15 @@ func NewService(opts ServeOptions) *Service { return serve.New(opts) }
 // micro-batched dispatches through the same pool/cache path as HTTP —
 // responses stay byte-identical to POST /estimate. cmd/resserve
 // exposes it with -stream-addr; see README "Streaming protocol" for
-// the frame layout and coalescing bounds.
+// the frame layout and how requests coalesce.
 
 // Streaming types, re-exported like the serving types above.
 type (
 	// StreamServer is the coalescing streaming listener.
 	StreamServer = stream.Server
-	// StreamServerOptions bounds micro-batching (MaxBatch, MaxWait) and
-	// the per-connection idle/write deadlines.
+	// StreamServerOptions names the service behind the listener (whose
+	// worker count bounds concurrent coalesced dispatches) and the
+	// per-connection idle/write deadlines.
 	StreamServerOptions = stream.Options
 	// StreamClient is one persistent streaming connection, safe for
 	// concurrent use; responses demultiplex by sequence ID.
