@@ -11,6 +11,7 @@ package plan
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -315,9 +316,10 @@ func (p *Plan) TotalActual() Resources {
 	return r
 }
 
-// Validate checks structural invariants: child counts per kind, leaves
-// carrying table metadata, and positive cardinalities. It returns the
-// first violation found.
+// Validate checks structural invariants: child counts per kind, finite
+// values in every field that feeds a feature, leaves carrying table
+// metadata, and positive cardinalities. It returns the first violation
+// found.
 func (p *Plan) Validate() error {
 	var err error
 	p.Walk(func(n *Node) {
@@ -326,6 +328,10 @@ func (p *Plan) Validate() error {
 		}
 		if want, got := n.Kind.NumChildren(), len(n.Children); want != got {
 			err = fmt.Errorf("plan: node %d (%s) has %d children, want %d", n.ID, n.Kind, got, want)
+			return
+		}
+		if name := nonFinite(n); name != "" {
+			err = fmt.Errorf("plan: node %d (%s) non-finite %s", n.ID, n.Kind, name)
 			return
 		}
 		if n.Kind.IsLeaf() {
@@ -348,6 +354,30 @@ func (p *Plan) Validate() error {
 		}
 	})
 	return err
+}
+
+// nonFinite names the first NaN or ±Inf field of n that feeds a
+// feature, or returns "" when all are finite. A NaN cardinality passes
+// the sign checks (every comparison with NaN is false), so it is
+// rejected here instead.
+func nonFinite(n *Node) string {
+	fields := [...]struct {
+		name string
+		v    float64
+	}{
+		{"out rows", n.Out.Rows}, {"out width", n.Out.Width},
+		{"est out rows", n.EstOut.Rows}, {"est out width", n.EstOut.Width},
+		{"table rows", n.TableRows}, {"table pages", n.TablePages},
+		{"table columns", n.TableCols}, {"index depth", n.IndexDepth},
+		{"est io cost", n.EstIOCost}, {"hash op avg", n.HashOpAvg},
+		{"executions", n.Executions}, {"est executions", n.EstExecutions},
+	}
+	for _, f := range fields {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return f.name
+		}
+	}
+	return ""
 }
 
 // String renders the plan as an indented tree with cardinalities, e.g.

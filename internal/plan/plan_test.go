@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -69,6 +71,39 @@ func TestValidateRejectsBadPlans(t *testing.T) {
 	nl := NewJoin(NestedLoopJoin, outer, inner)
 	if err := New(nl, "").Validate(); err == nil {
 		t.Fatal("nested loop with scan inner passed validation")
+	}
+}
+
+// TestValidateRejectsNonFinite pins that every float field feeding a
+// feature is checked for NaN and ±Inf, and that the error names the
+// node and the field. The sign checks alone would pass a NaN
+// cardinality: every comparison with NaN is false.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	fields := map[string]func(n *Node) *float64{
+		"out rows":       func(n *Node) *float64 { return &n.Out.Rows },
+		"out width":      func(n *Node) *float64 { return &n.Out.Width },
+		"est out rows":   func(n *Node) *float64 { return &n.EstOut.Rows },
+		"est out width":  func(n *Node) *float64 { return &n.EstOut.Width },
+		"table rows":     func(n *Node) *float64 { return &n.TableRows },
+		"table pages":    func(n *Node) *float64 { return &n.TablePages },
+		"table columns":  func(n *Node) *float64 { return &n.TableCols },
+		"index depth":    func(n *Node) *float64 { return &n.IndexDepth },
+		"est io cost":    func(n *Node) *float64 { return &n.EstIOCost },
+		"hash op avg":    func(n *Node) *float64 { return &n.HashOpAvg },
+		"executions":     func(n *Node) *float64 { return &n.Executions },
+		"est executions": func(n *Node) *float64 { return &n.EstExecutions },
+	}
+	for name, field := range fields {
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			p := buildTestPlan()
+			n := p.Nodes()[2]
+			*field(n) = bad
+			err := p.Validate()
+			want := fmt.Sprintf("plan: node %d (%s) non-finite %s", n.ID, n.Kind, name)
+			if err == nil || err.Error() != want {
+				t.Fatalf("%s = %v: Validate() = %v, want %q", name, bad, err, want)
+			}
+		}
 	}
 }
 

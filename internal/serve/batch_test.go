@@ -130,6 +130,39 @@ func TestEstimateBatchErrors(t *testing.T) {
 	}
 }
 
+// TestNonFinitePlanRejected pins that a plan carrying NaN or ±Inf in a
+// feature input fails every in-process entry point with the usual
+// invalid-plan error, before it can reach the prediction cache. (JSON
+// cannot carry NaN, so the wire transports never see one.)
+func TestNonFinitePlanRejected(t *testing.T) {
+	svc := newService(t, serve.Options{})
+	svc.Registry().Publish("tpch", cpuEst)
+	ctx := context.Background()
+	leaf := plan.NewLeaf(plan.TableScan, "t")
+	leaf.TableRows, leaf.TablePages = 100, 10
+	leaf.Out = plan.Cardinality{Rows: math.NaN(), Width: 8}
+	bad := plan.New(leaf, "nan")
+	const want = "plan: node 0 (TableScan) non-finite out rows"
+
+	_, err := svc.Estimate(ctx, serve.Request{Schema: "tpch", Plan: bad})
+	if err == nil || err.Error() != want {
+		t.Fatalf("Estimate: %v, want %q", err, want)
+	}
+	if status, code := serve.ErrorCode(err); status != http.StatusBadRequest || code != "bad_request" {
+		t.Fatalf("Estimate error maps to %d %s, want 400 bad_request", status, code)
+	}
+	batch := serve.BatchRequest{Schema: "tpch", Plans: []*plan.Plan{testPlans[0], bad}}
+	if _, err := svc.EstimateBatch(ctx, batch); err == nil || err.Error() != "serve: batch plan 1: "+want {
+		t.Fatalf("EstimateBatch: %v, want the error naming plan 1", err)
+	}
+	if _, err := svc.EstimateStream(ctx, batch, 0); err == nil || err.Error() != "serve: batch plan 1: "+want {
+		t.Fatalf("EstimateStream: %v, want the error naming plan 1", err)
+	}
+	if st := svc.Metrics().Cache; st.Hits+st.Misses != 0 {
+		t.Fatalf("rejected plans reached the cache: %+v", st)
+	}
+}
+
 // postDecode posts a JSON body (via postJSON from the feedback tests)
 // and decodes the response envelope into out.
 func postDecode(t *testing.T, url string, body any, out any) int {

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"container/list"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -27,27 +26,41 @@ import (
 // all its resources, and requests asking for the same resource set at
 // the same model versions share entries regardless of the order they
 // listed the resources in.
+//
+// Storage holds no pointers: each shard keeps its entries in one flat
+// array linked into LRU order by int32 indexes, and finds them through
+// an open-addressed int32 index. The garbage collector never scans
+// either array, and a full cache allocates nothing per insert: a new
+// key overwrites the least recently used entry in place.
 
 // versionVector is the cache's model-identity: the registry version of
 // the model serving each requested resource kind, zero for resources
 // the request did not ask for (registry versions start at 1).
 type versionVector [plan.NumResources]uint64
 
-// cacheKey identifies one memoized prediction. features.Vector is a
-// fixed-size float array, so the whole key is comparable and can be a
-// map key directly; equality is exact (bit-for-bit feature match).
+// cacheKey identifies one memoized prediction. Keys match only bit for
+// bit (equal): a NaN feature matches the same NaN bits, and -0 does not
+// match +0. hash is computed once, by newCacheKey, and travels with the
+// key, so the shard choice, index probes, batch dedup and eviction all
+// reuse it.
 type cacheKey struct {
 	versions versionVector
 	op       plan.OpKind
 	vec      features.Vector
+	hash     uint64
 }
 
-// hash is a word-wise FNV-1a variant over the key, used only to pick a
-// shard. Mixing whole 64-bit words (instead of the byte-wise textbook
-// form) cuts the per-probe hashing cost by ~8x on these 200+-byte keys;
-// the final fold spreads the high bits into the low ones the shard
-// index is taken from.
-func (k *cacheKey) hash() uint64 {
+func newCacheKey(versions versionVector, op plan.OpKind, vec *features.Vector) cacheKey {
+	k := cacheKey{versions: versions, op: op, vec: *vec}
+	k.hash = k.sum()
+	return k
+}
+
+// sum is a word-wise FNV-1a variant over the key. Mixing whole 64-bit
+// words (instead of the byte-wise textbook form) cuts the hashing cost
+// by ~8x on these 200+-byte keys; the final fold spreads the high bits
+// into the low ones the shard index is taken from.
+func (k *cacheKey) sum() uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -63,23 +76,169 @@ func (k *cacheKey) hash() uint64 {
 	return h ^ (h >> 32)
 }
 
+func (k *cacheKey) equal(o *cacheKey) bool {
+	if k.hash != o.hash || k.versions != o.versions || k.op != o.op {
+		return false
+	}
+	for i := range k.vec {
+		if math.Float64bits(k.vec[i]) != math.Float64bits(o.vec[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// indexShift sizes an open-addressed table for n keys: the table has
+// 1<<(64-shift) slots, the least power of two ≥ 2n, so linear probing
+// stays at load ≤ 1/2 and every probe sequence reaches an empty slot.
+func indexShift(n int) uint {
+	bits := uint(1)
+	for 1<<bits < 2*n {
+		bits++
+	}
+	return 64 - bits
+}
+
+// homeSlot is a key's first probe position in a table of the given
+// shift. Fibonacci hashing takes the slot from the high bits of the
+// product, so the keys of one shard, which share the hash's low bits,
+// still spread over the whole table.
+func homeSlot(h uint64, shift uint) int {
+	return int((h * 0x9E3779B97F4A7C15) >> shift)
+}
+
 const cacheShards = 32
 
+// cacheEntry is one element of a shard's entry array: the key (hash
+// included), the value, and the shard's LRU links as entry indexes.
 type cacheEntry struct {
-	key cacheKey
-	val plan.Resources
+	key        cacheKey
+	val        plan.Resources
+	prev, next int32 // toward the most / least recently used end; -1 past it
 }
 
 type cacheShard struct {
-	mu  sync.Mutex
-	m   map[cacheKey]*list.Element
-	lru list.List // front = most recently used
-	cap int
+	mu sync.Mutex
+	// entries grows to cap; from then on a new key overwrites the LRU
+	// tail in place.
+	entries []cacheEntry
+	// index maps hash slots to entry index + 1 (0 = empty slot): linear
+	// probing from homeSlot(hash, shift), backward-shift delete, length
+	// 1<<(64-shift) ≥ 2×cap.
+	index      []int32
+	shift      uint
+	head, tail int32 // most / least recently used entry; -1 when empty
+	cap        int
 	// Per-shard hit/miss tallies, guarded by mu (the lock is already
 	// held at every lookup, so these cost no extra synchronization).
 	// The global atomic counters remain the wire-visible totals.
 	hits   uint64
 	misses uint64
+}
+
+// find returns k's entry and index slot, or -1 and the empty slot that
+// ends k's probe sequence.
+func (s *cacheShard) find(k *cacheKey) (int32, int) {
+	mask := len(s.index) - 1
+	for i := homeSlot(k.hash, s.shift); ; i = (i + 1) & mask {
+		e := s.index[i] - 1
+		if e < 0 || s.entries[e].key.equal(k) {
+			return e, i
+		}
+	}
+}
+
+// get returns k's entry, marked most recently used, or -1.
+func (s *cacheShard) get(k *cacheKey) int32 {
+	e, _ := s.find(k)
+	if e >= 0 {
+		s.moveToFront(e)
+	}
+	return e
+}
+
+// put memoizes v under k, evicting the least recently used entry when
+// the shard is full.
+func (s *cacheShard) put(k *cacheKey, v plan.Resources) {
+	e, slot := s.find(k)
+	if e >= 0 {
+		s.entries[e].val = v
+		s.moveToFront(e)
+		return
+	}
+	if n := len(s.entries); n < s.cap {
+		if n == cap(s.entries) {
+			grown := make([]cacheEntry, n, min(max(2*n, 8), s.cap))
+			copy(grown, s.entries)
+			s.entries = grown
+		}
+		s.entries = s.entries[:n+1]
+		e = int32(n)
+	} else {
+		e = s.tail
+		s.unlink(e)
+		s.unindex(e)
+		// The backward shift may have opened a hole earlier in k's
+		// probe sequence; k must go there to stay reachable.
+		_, slot = s.find(k)
+	}
+	s.entries[e].key = *k
+	s.entries[e].val = v
+	s.pushFront(e)
+	s.index[slot] = e + 1
+}
+
+// unindex empties entry e's index slot, shifting later members of its
+// probe run back so that no remaining key's probe sequence crosses a
+// hole.
+func (s *cacheShard) unindex(e int32) {
+	mask := len(s.index) - 1
+	i := homeSlot(s.entries[e].key.hash, s.shift)
+	for s.index[i] != e+1 {
+		i = (i + 1) & mask
+	}
+	for j := (i + 1) & mask; s.index[j] != 0; j = (j + 1) & mask {
+		home := homeSlot(s.entries[s.index[j]-1].key.hash, s.shift)
+		// The key at j may move into the hole unless its home lies
+		// cyclically in (i, j].
+		if (j-home)&mask >= (j-i)&mask {
+			s.index[i] = s.index[j]
+			i = j
+		}
+	}
+	s.index[i] = 0
+}
+
+func (s *cacheShard) unlink(e int32) {
+	en := &s.entries[e]
+	if en.prev >= 0 {
+		s.entries[en.prev].next = en.next
+	} else {
+		s.head = en.next
+	}
+	if en.next >= 0 {
+		s.entries[en.next].prev = en.prev
+	} else {
+		s.tail = en.prev
+	}
+}
+
+func (s *cacheShard) pushFront(e int32) {
+	en := &s.entries[e]
+	en.prev, en.next = -1, s.head
+	if s.head >= 0 {
+		s.entries[s.head].prev = e
+	} else {
+		s.tail = e
+	}
+	s.head = e
+}
+
+func (s *cacheShard) moveToFront(e int32) {
+	if s.head != e {
+		s.unlink(e)
+		s.pushFront(e)
+	}
 }
 
 // Cache is a sharded LRU of operator predictions with hit/miss
@@ -110,16 +269,20 @@ func NewCache(capacity int) *Cache {
 	if per < 1 {
 		per = 1
 	}
+	shift := indexShift(per)
 	c := &Cache{}
 	for i := range c.shards {
-		c.shards[i].m = make(map[cacheKey]*list.Element)
-		c.shards[i].cap = per
+		s := &c.shards[i]
+		s.cap = per
+		s.shift = shift
+		s.index = make([]int32, 1<<(64-shift))
+		s.head, s.tail = -1, -1
 	}
 	return c
 }
 
 func (c *Cache) shard(k *cacheKey) *cacheShard {
-	return &c.shards[k.hash()%cacheShards]
+	return &c.shards[k.hash%cacheShards]
 }
 
 // Get returns the memoized prediction for k, updating recency and the
@@ -130,17 +293,16 @@ func (c *Cache) Get(k cacheKey) (plan.Resources, bool) {
 	}
 	s := c.shard(&k)
 	s.mu.Lock()
-	el, ok := s.m[k]
 	var v plan.Resources
-	if ok {
-		s.lru.MoveToFront(el)
-		v = el.Value.(*cacheEntry).val
+	e := s.get(&k)
+	if e >= 0 {
+		v = s.entries[e].val
 		s.hits++
 	} else {
 		s.misses++
 	}
 	s.mu.Unlock()
-	if ok {
+	if e >= 0 {
 		c.hits.Add(1)
 		return v, true
 	}
@@ -156,24 +318,14 @@ func (c *Cache) Put(k cacheKey, v plan.Resources) {
 	}
 	s := c.shard(&k)
 	s.mu.Lock()
-	if el, ok := s.m[k]; ok {
-		el.Value.(*cacheEntry).val = v
-		s.lru.MoveToFront(el)
-		s.mu.Unlock()
-		return
-	}
-	s.m[k] = s.lru.PushFront(&cacheEntry{key: k, val: v})
-	if s.lru.Len() > s.cap {
-		old := s.lru.Back()
-		s.lru.Remove(old)
-		delete(s.m, old.Value.(*cacheEntry).key)
-	}
+	s.put(&k, v)
 	s.mu.Unlock()
 }
 
 // shardPlan groups a key batch by shard in one pass: a counting sort
 // producing, per shard s, the key indexes order[starts[s]:starts[s+1]].
-// Hashing each key once here is what GetMulti and PutMulti share.
+// GetMulti and PutMulti share it, so each shard lock is taken at most
+// once per call.
 type shardPlan struct {
 	order  []int32
 	starts [cacheShards + 1]int32
@@ -181,12 +333,9 @@ type shardPlan struct {
 
 func planShards(keys []cacheKey) *shardPlan {
 	sp := &shardPlan{order: make([]int32, len(keys))}
-	shardOf := make([]uint8, len(keys))
 	var counts [cacheShards]int32
 	for i := range keys {
-		s := uint8(keys[i].hash() % cacheShards)
-		shardOf[i] = s
-		counts[s]++
+		counts[keys[i].hash%cacheShards]++
 	}
 	var sum int32
 	for s := 0; s < cacheShards; s++ {
@@ -196,7 +345,7 @@ func planShards(keys []cacheKey) *shardPlan {
 	sp.starts[cacheShards] = sum
 	next := sp.starts
 	for i := range keys {
-		s := shardOf[i]
+		s := keys[i].hash % cacheShards
 		sp.order[next[s]] = int32(i)
 		next[s]++
 	}
@@ -227,9 +376,8 @@ func (c *Cache) GetMulti(keys []cacheKey, vals []plan.Resources, hit []bool) (in
 		shardHits := 0
 		s.mu.Lock()
 		for _, i := range group {
-			if el, ok := s.m[keys[i]]; ok {
-				s.lru.MoveToFront(el)
-				vals[i] = el.Value.(*cacheEntry).val
+			if e := s.get(&keys[i]); e >= 0 {
+				vals[i] = s.entries[e].val
 				hit[i] = true
 				shardHits++
 			} else {
@@ -248,7 +396,7 @@ func (c *Cache) GetMulti(keys []cacheKey, vals []plan.Resources, hit []bool) (in
 
 // PutMulti memoizes the batch entries whose skip flag is false (the
 // misses of a preceding GetMulti), reusing that GetMulti's shard
-// grouping so key hashes are computed once per batch.
+// grouping.
 func (c *Cache) PutMulti(keys []cacheKey, vals []plan.Resources, skip []bool, sp *shardPlan) {
 	if c == nil {
 		return
@@ -268,17 +416,7 @@ func (c *Cache) PutMulti(keys []cacheKey, vals []plan.Resources, skip []bool, sp
 				s.mu.Lock()
 				locked = true
 			}
-			if el, ok := s.m[keys[i]]; ok {
-				el.Value.(*cacheEntry).val = vals[i]
-				s.lru.MoveToFront(el)
-				continue
-			}
-			s.m[keys[i]] = s.lru.PushFront(&cacheEntry{key: keys[i], val: vals[i]})
-			if s.lru.Len() > s.cap {
-				old := s.lru.Back()
-				s.lru.Remove(old)
-				delete(s.m, old.Value.(*cacheEntry).key)
-			}
+			s.put(&keys[i], vals[i])
 		}
 		if locked {
 			s.mu.Unlock()
@@ -307,7 +445,7 @@ func (c *Cache) ShardStats() []ShardCacheStats {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		out[i] = ShardCacheStats{Shard: i, Hits: s.hits, Misses: s.misses, Entries: s.lru.Len()}
+		out[i] = ShardCacheStats{Shard: i, Hits: s.hits, Misses: s.misses, Entries: len(s.entries)}
 		s.mu.Unlock()
 	}
 	return out
@@ -322,7 +460,7 @@ func (c *Cache) Stats() CacheStats {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		st.Entries += s.lru.Len()
+		st.Entries += len(s.entries)
 		s.mu.Unlock()
 		st.Capacity += s.cap
 	}

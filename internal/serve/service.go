@@ -724,13 +724,11 @@ func (s *Service) estimateBatch(ctx context.Context, req BatchRequest) (*BatchRe
 func (s *Service) batchPredictions(ms *modelSet, plans []*plan.Plan) (vals []plan.Resources, offs []int, hit []bool, hits int, probe time.Duration) {
 	set := ms.est
 	vecs, offs := features.ExtractPlans(plans, set.Mode)
-	kinds := make([]plan.OpKind, len(vecs))
 	keys := make([]cacheKey, len(vecs))
 	for pi, p := range plans {
 		j := offs[pi]
 		p.Walk(func(n *plan.Node) {
-			kinds[j] = n.Kind
-			keys[j] = cacheKey{versions: ms.versions, op: n.Kind, vec: vecs[j]}
+			keys[j] = newCacheKey(ms.versions, n.Kind, &vecs[j])
 			j++
 		})
 	}
@@ -747,8 +745,13 @@ func (s *Service) batchPredictions(ms *modelSet, plans []*plan.Plan) (vals []pla
 		// same scans under different queries), and with caching
 		// disabled this is the only thing collapsing them. Predictions
 		// are pure functions of the key, so scattering one result to
-		// every duplicate is exact.
-		uniq := make(map[cacheKey]int, miss)
+		// every duplicate is exact. uniq is an open-addressed set probed
+		// with the hashes the keys already carry; it holds 1 + the
+		// unique slot, whose first input index is firstOf[slot].
+		shift := indexShift(miss)
+		uniq := make([]int32, 1<<(64-shift))
+		mask := len(uniq) - 1
+		firstOf := make([]int, 0, miss)
 		missKinds := make([]plan.OpKind, 0, miss)
 		missVecs := make([]features.Vector, 0, miss)
 		slot := make([]int, 0, miss) // per input index: unique slot
@@ -757,11 +760,17 @@ func (s *Service) batchPredictions(ms *modelSet, plans []*plan.Plan) (vals []pla
 			if hit[i] {
 				continue
 			}
-			u, ok := uniq[keys[i]]
-			if !ok {
+			k := &keys[i]
+			j := homeSlot(k.hash, shift)
+			for uniq[j] != 0 && !keys[firstOf[uniq[j]-1]].equal(k) {
+				j = (j + 1) & mask
+			}
+			u := int(uniq[j]) - 1
+			if u < 0 {
 				u = len(missKinds)
-				uniq[keys[i]] = u
-				missKinds = append(missKinds, kinds[i])
+				uniq[j] = int32(u + 1)
+				firstOf = append(firstOf, i)
+				missKinds = append(missKinds, k.op)
 				missVecs = append(missVecs, vecs[i])
 			}
 			slot = append(slot, u)
@@ -1049,7 +1058,7 @@ func (s *Service) predict(ms *modelSet, p *plan.Plan) *Response {
 	perNode := make(map[*plan.Node]plan.Resources, len(nodes))
 	var total plan.Resources
 	for i, n := range nodes {
-		key := cacheKey{versions: ms.versions, op: n.Kind, vec: vecs[i]}
+		key := newCacheKey(ms.versions, n.Kind, &vecs[i])
 		v, ok := s.cache.Get(key)
 		if ok {
 			resp.CacheHits++
